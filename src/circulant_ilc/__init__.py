@@ -60,7 +60,6 @@ from .plants import (
 from .simulation import (
     SimulationResult,
     Trajectory,
-    compare_laws,
     make_trajectory,
     run_ilc,
     worst_case_experiment,

@@ -9,6 +9,7 @@ the same configuration. Exit codes: 0 success, 2 configuration error,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,21 +19,17 @@ import numpy as np
 from . import convergence, laws, optimizer, simulation
 from .errors import ConfigError, DegenerateSingularValueError, IllConditionedCirculantError
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
-from .lifted import LiftedModel, circulant_inverse, delete_initial_steps
+from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, discretize_zoh, realize
 
 __all__ = ["main", "ExperimentConfig", "build_config"]
 
-_LAW_CHOICES = (
-    "inverse_circulant",
-    "scaled_inverse_circulant",
-    "accelerated",
-    "optimized_inverse_circulant",
-    "partial_isometry",
-    "contraction_mapping",
-    "quadratic_cost",
-)
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
+_INT_FIELDS = ("n", "q", "power", "opt_iterations", "region_size", "iterations")
+_FLOAT_FIELDS = (
+    "sample_hz", "phi", "law_gain", "law_weight", "opt_weight", "phi_min", "phi_max", "phi_step"
+)
+_MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,14 @@ class ExperimentConfig:
     traj: str = "yd1"
     iterations: int = 100
     out: str = "."
-    seed: int | None = None         # reserved; the pipeline is deterministic
 
 
 def _parse_plant_dict(spec):
     if not isinstance(spec, dict):
         raise ConfigError("plant", f"expected a JSON object, got {type(spec).__name__}")
-    first = tuple(spec.get("first_order", ()))
-    second = tuple((s["omega"], s["zeta"]) for s in spec.get("second_order", ()))
     try:
+        first = tuple(spec.get("first_order", ()))
+        second = tuple((s["omega"], s["zeta"]) for s in spec.get("second_order", ()))
         plant = ContinuousPlant(first_order=first, second_order=second)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("plant", str(exc)) from None
@@ -116,14 +112,25 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
+    for name in _INT_FIELDS:
+        value = getattr(cfg, name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(name, f"must be an integer, got {value!r}")
+    for name in _FLOAT_FIELDS:
+        value = getattr(cfg, name)
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (numeric and math.isfinite(value)):
+            raise ConfigError(name, f"must be a finite number, got {value!r}")
+    if not isinstance(cfg.out, str):
+        raise ConfigError("out", f"must be a path string, got {cfg.out!r}")
     if cfg.n < 1:
         raise ConfigError("n", "horizon must be at least 1")
     if cfg.sample_hz <= 0:
         raise ConfigError("sample_hz", "sample rate must be positive")
     if cfg.q is not None and not 0 <= cfg.q < cfg.n:
         raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
-    if cfg.law not in _LAW_CHOICES:
-        raise ConfigError("law", f"must be one of {_LAW_CHOICES}")
+    if cfg.law not in laws.KINDS:
+        raise ConfigError("law", f"must be one of {laws.KINDS}")
     if cfg.power < 1:
         raise ConfigError("power", "must be at least 1")
     if cfg.opt_weight <= 0:
@@ -138,6 +145,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("phi_step", "must be positive")
     if cfg.phi_max < cfg.phi_min:
         raise ConfigError("phi_max", "must not be below phi_min")
+    steps = (cfg.phi_max - cfg.phi_min) / cfg.phi_step
+    if steps > _MAX_SWEEP_POINTS - 1:
+        raise ConfigError("phi_step", f"{steps:.3g} grid steps exceed {_MAX_SWEEP_POINTS} points")
     if cfg.traj not in _TRAJ_CHOICES:
         raise ConfigError("traj", f"must be one of {_TRAJ_CHOICES}")
     if cfg.iterations < 0:
@@ -151,12 +161,12 @@ class _Workspace:
     cfg: ExperimentConfig
     model: LiftedModel
     inverse: np.ndarray
-    q: int
+    deleted: DeletedModel
     reselect_region: bool = False   # descent region policy, from the preset
 
     @property
-    def deleted(self):
-        return delete_initial_steps(self.model, self.inverse, self.q)
+    def q(self):
+        return self.deleted.q
 
 
 def _workspace(cfg: ExperimentConfig, default_q=None) -> _Workspace:
@@ -166,16 +176,17 @@ def _workspace(cfg: ExperimentConfig, default_q=None) -> _Workspace:
     discrete = discretize_zoh(realize(plant), 1.0 / cfg.sample_hz)
     model = LiftedModel.build(discrete, cfg.n)
     inverse = circulant_inverse(model)
-    if cfg.q is not None:
-        q = cfg.q
-    elif default_q is not None:
-        q = default_q
-    elif preset is not None:
+    q = cfg.q if cfg.q is not None else default_q
+    if q is None and preset is not None:
         q = preset.q
-    else:
-        q = delete_initial_steps(model, inverse).q  # plant's unstable zero count
+    try:
+        deleted = delete_initial_steps(model, inverse, q)  # q None: unstable zero count
+    except ValueError as exc:
+        raise ConfigError("q", str(exc)) from None
     reselect = preset is not None and preset.reselect_region
-    return _Workspace(cfg=cfg, model=model, inverse=inverse, q=q, reselect_region=reselect)
+    return _Workspace(
+        cfg=cfg, model=model, inverse=inverse, deleted=deleted, reselect_region=reselect
+    )
 
 
 def _opt_iterations(cfg: ExperimentConfig) -> int:
@@ -294,9 +305,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     ws = _workspace(cfg)
     out = _outdir(cfg)
     if cfg.traj == "worst_case":
-        ws0 = _Workspace(cfg=cfg, model=ws.model, inverse=ws.inverse, q=0)
         power = cfg.power if cfg.power > 1 else 6
-        law = laws.accelerated_law(ws0.deleted, power)
+        law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
         result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
     else:
         law = _build_law(ws, cfg.law)
@@ -326,7 +336,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         laws.quadratic_cost_law(deleted.toeplitz, cfg.law_weight),
     ]
     traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
-    results = simulation.compare_laws(ws.model, compared, traj, cfg.iterations)
+    results = [simulation.run_ilc(ws.model, law, traj, cfg.iterations) for law in compared]
     out = _outdir(cfg)
     header = ["iteration"] + [f"rms_{r.law_kind}" for r in results]
     rows = [
@@ -393,7 +403,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, help="horizon length in steps")
     g.add_argument("--hz", dest="sample_hz", type=float, help="sample rate in Hz")
     g.add_argument("--q", type=int, help="deleted initial steps (analyze defaults to 0, other commands to the plant default)")
-    g.add_argument("--law", choices=_LAW_CHOICES, help="learning law kind")
+    g.add_argument("--law", choices=laws.KINDS, help="learning law kind")
     g.add_argument("--power", type=int, help="propagation-matrix power / accelerated-law power")
     g.add_argument("--phi", type=float, help="overall gain for the scaled law")
     g.add_argument("--law-gain", dest="law_gain", type=float, help="contraction-mapping gain")
@@ -407,7 +417,6 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--traj", choices=_TRAJ_CHOICES, help="desired trajectory")
     g.add_argument("--iterations", type=int, help="learning iterations (optimize: descent iterations if --opt-iterations absent)")
     g.add_argument("--out", help="output directory")
-    g.add_argument("--seed", type=int, help="reserved; runs are deterministic")
 
     parser = argparse.ArgumentParser(
         prog="circulant-ilc",

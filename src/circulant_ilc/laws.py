@@ -63,11 +63,10 @@ def signed_svd(matrix: np.ndarray):
     """
     U, s, Vt = np.linalg.svd(matrix)
     k = min(U.shape[1], Vt.shape[0])
-    for i in range(k):
-        lead = np.argmax(np.abs(U[:, i]))
-        if U[lead, i] < 0:
-            U[:, i] = -U[:, i]
-            Vt[i, :] = -Vt[i, :]
+    lead = np.argmax(np.abs(U[:, :k]), axis=0)
+    sign = np.where(U[lead, np.arange(k)] < 0, -1.0, 1.0)
+    U[:, :k] *= sign
+    Vt[:k] *= sign[:, None]
     return U, s, Vt
 
 

@@ -4,6 +4,7 @@ DFT diagonalization, structured inversion, and initial-step deletion."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import IllConditionedCirculantError
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
@@ -24,7 +25,7 @@ __all__ = [
 
 # Tolerances fixed by the module contract.
 _SINGULAR_RTOL = 1e-12     # circulant eigenvalue magnitude, relative to the largest
-_IMAG_RESIDUE_TOL = 1e-10  # allowed imaginary part when realifying complex results
+_IMAG_RESIDUE_TOL = 1e-10  # allowed imaginary part of the inverse, per unit of its round-off scale
 
 
 def toeplitz_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
@@ -33,11 +34,7 @@ def toeplitz_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
     Row k of the product with u reproduces y(k+1) of the state recursion for
     x(0) = 0, honoring the one-step input-to-output delay of the sampled plant.
     """
-    m = markov_parameters(plant, horizon)
-    P = np.zeros((horizon, horizon))
-    for j in range(horizon):
-        P[j:, j] = m[: horizon - j]
-    return P
+    return scipy.linalg.toeplitz(markov_parameters(plant, horizon), np.zeros(horizon))
 
 
 def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
@@ -52,9 +49,7 @@ def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 def circulant_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
     """Circulant wrap of the Markov parameters: entry (i, j) = C A^((i-j) mod N) B."""
-    m = markov_parameters(plant, horizon)
-    idx = (np.arange(horizon)[:, None] - np.arange(horizon)[None, :]) % horizon
-    return m[idx]
+    return scipy.linalg.circulant(markov_parameters(plant, horizon))
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,12 @@ class LiftedModel:
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         if horizon < 1:
             raise ValueError("horizon must be at least one step")
+        m = markov_parameters(plant, horizon)
         fields = {
-            "markov": markov_parameters(plant, horizon),
-            "toeplitz": toeplitz_matrix(plant, horizon),
+            "markov": m,
+            "toeplitz": scipy.linalg.toeplitz(m, np.zeros(horizon)),
             "observability": step_observability(plant, horizon),
-            "circulant": circulant_matrix(plant, horizon),
+            "circulant": scipy.linalg.circulant(m),
         }
         for a in fields.values():
             a.flags.writeable = False
@@ -138,8 +134,8 @@ def dft_verify(model: LiftedModel, plant: DiscretePlant | None = None) -> Diagon
     """Diagonalize the circulant by the DFT and compare with the frequency response."""
     plant = plant if plant is not None else model.plant
     n = model.horizon
-    H = dft_matrix(n)
-    PE = H @ model.circulant @ np.linalg.inv(H)
+    # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows
+    PE = np.fft.ifft(np.fft.fft(model.circulant, axis=0), axis=1)
     off = PE - np.diag(np.diag(PE))
     diagonal = np.diag(PE).copy()
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
@@ -162,30 +158,24 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     circulant built from the inverse DFT of their reciprocals, so the result
     is circulant by construction.
     """
-    n = model.horizon
     eigs = np.fft.fft(model.markov)
     mags = np.abs(eigs)
     bad = np.where(mags < _SINGULAR_RTOL * mags.max())[0]
     if bad.size:
         raise IllConditionedCirculantError(bad.tolist(), mags[bad].tolist())
     col = np.fft.ifft(1.0 / eigs)
+    # round-off leaves an imaginary part that grows with the entries and the condition number
     residue = np.max(np.abs(col.imag))
-    if residue > _IMAG_RESIDUE_TOL:
+    if residue > _IMAG_RESIDUE_TOL * np.max(np.abs(col)) * mags.max() / mags.min():
         raise ArithmeticError(f"imaginary residue {residue:.3e} in circulant inverse")
-    first = col.real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return first[idx]
+    return scipy.linalg.circulant(col.real)
 
 
 def circulant_deviation(matrix: np.ndarray) -> float:
     """Largest spread of any wrapped diagonal; zero for an exact circulant."""
-    n = matrix.shape[0]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    worst = 0.0
-    for d in range(n):
-        vals = matrix[idx == d]
-        worst = max(worst, float(vals.max() - vals.min()))
-    return worst
+    cols = np.arange(matrix.shape[0])
+    diagonals = matrix[(cols[:, None] + cols) % cols.size, cols]  # row d: entries (j + d, j)
+    return float(np.max(diagonals.max(axis=1) - diagonals.min(axis=1)))
 
 
 def delete_initial_steps(

@@ -14,7 +14,6 @@ __all__ = [
     "make_trajectory",
     "run_ilc",
     "worst_case_experiment",
-    "compare_laws",
 ]
 
 
@@ -142,10 +141,3 @@ def worst_case_experiment(
     _, _, Vt = signed_svd(E)
     trajectory = Trajectory(Vt[0, :], "custom", model.period)
     return run_ilc(model, law, trajectory, iterations)
-
-
-def compare_laws(
-    model: LiftedModel, laws, trajectory: Trajectory, iterations: int
-) -> list[SimulationResult]:
-    """Run several laws on the same plant and trajectory."""
-    return [run_ilc(model, law, trajectory, iterations) for law in laws]

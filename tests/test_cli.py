@@ -8,6 +8,7 @@ import pytest
 
 from circulant_ilc import (
     PRESETS,
+    ConfigError,
     LiftedModel,
     OptimizerConfig,
     circulant_inverse,
@@ -181,6 +182,34 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     bad.write_text(json.dumps({"horizon": 51}))
     assert run(["analyze", "--config", bad, "--out", tmp_path]) == 2
     assert "horizon" in capsys.readouterr().err
+    # wrongly typed values exit 2 naming the field instead of ending in a TypeError
+    spec = {"first_order": [8.8], "second_order": [{"omega": 37.0, "zeta": 0.5}]}
+    plant = tmp_path / "plant.json"
+    for extra, field in (({"sample_hz": "fifty"}, "sample_hz:"), ({"N": 51.5}, "n:")):
+        plant.write_text(json.dumps({**spec, **extra}))
+        assert run(["analyze", "--plant", plant, "--out", tmp_path]) == 2
+        assert field in capsys.readouterr().err
+    for config, field in (({"n": "51"}, "n:"), ({"out": 5}, "out:")):
+        bad.write_text(json.dumps({"out": str(tmp_path), **config}))
+        assert run(["analyze", "--config", bad]) == 2
+        assert field in capsys.readouterr().err
+    plant.write_text(json.dumps({"first_order": 5}))
+    assert run(["analyze", "--plant", plant, "--out", tmp_path]) == 2
+    assert "plant:" in capsys.readouterr().err
+    assert run(["sweep", "--phi-max", "inf", "--out", tmp_path]) == 2
+    assert "phi_max:" in capsys.readouterr().err
+    # the fifth-order preset deletes two steps, which a two-step horizon cannot spare
+    assert run(["simulate", "--plant", "fifth_order", "--n", 2, "--out", tmp_path]) == 2
+    assert "q:" in capsys.readouterr().err
+
+
+def test_sweep_grid_is_bounded(tmp_path, capsys):
+    # a 1e18-point grid used to end in an allocation error
+    assert run(["sweep", "--phi-max", 1e9, "--phi-step", 1e-9, "--out", tmp_path]) == 2
+    assert "phi_step" in capsys.readouterr().err
+    assert build_config(None, {"phi_min": 0, "phi_max": 99_999, "phi_step": 1}).phi_max == 99_999
+    with pytest.raises(ConfigError, match="phi_step"):
+        build_config(None, {"phi_min": 0, "phi_max": 100_000, "phi_step": 1})
 
 
 def test_plant_spec_file(tmp_path):

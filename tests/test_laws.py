@@ -38,6 +38,19 @@ def test_signed_svd_fixes_leading_signs():
         assert U[np.argmax(np.abs(U[:, k])), k] > 0
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (7, 4), (4, 7)])
+def test_signed_svd_matches_column_loop(shape):
+    # reference: flip the signs one column at a time
+    M = np.random.default_rng(sum(shape)).standard_normal(shape)
+    U, s, Vt = np.linalg.svd(M)
+    for i in range(min(U.shape[1], Vt.shape[0])):
+        if U[np.argmax(np.abs(U[:, i])), i] < 0:
+            U[:, i] = -U[:, i]
+            Vt[i, :] = -Vt[i, :]
+    got = signed_svd(M)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (U, s, Vt)))
+
+
 def test_inverse_circulant_law_is_the_deleted_inverse(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)

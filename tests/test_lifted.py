@@ -6,9 +6,12 @@ the structured inverse, and explicit complex conjugation for the DFT check.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
+    ContinuousPlant,
     DiscretePlant,
     IllConditionedCirculantError,
     LiftedModel,
@@ -18,8 +21,10 @@ from circulant_ilc import (
     delete_initial_steps,
     dft_matrix,
     dft_verify,
+    discretize_zoh,
     frequency_response,
     markov_parameters,
+    realize,
     step_observability,
     toeplitz_matrix,
 )
@@ -211,3 +216,85 @@ def test_unstable_zero_leaves_tiny_singular_value(third):
     # the full-horizon map is ill-posed: one singular value falls far below the rest
     s = np.linalg.svd(third.model.toeplitz, compute_uv=False)
     assert s[-1] / s[-2] < 1e-2
+
+
+# --- properties over random stable plants and horizons ----------------------
+# The structured builders, the FFT conjugation and the FFT inverse against the
+# dense references they replace. Runs are derandomized and keep no example database.
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def sampled_plants(draw):
+    """1-3 stable sections with poles on both sides of Nyquist (157 rad/s at 50 Hz)."""
+    first, second = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        omega = draw(st.floats(0.5, 500.0))
+        if draw(st.booleans()):
+            first.append(omega)
+        else:
+            second.append((omega, draw(st.floats(0.05, 2.0))))
+    return discretize_zoh(realize(ContinuousPlant(tuple(first), tuple(second))), T)
+
+
+horizons = st.integers(2, 200)
+
+
+@PROPERTY
+@given(sampled_plants(), horizons)
+def test_property_toeplitz_matches_recursion(plant, n):
+    model = LiftedModel.build(plant, n)
+    u = np.random.default_rng(n).standard_normal(n)
+    scale = np.max(np.abs(model.toeplitz) @ np.abs(u))
+    assert_allclose(model.toeplitz @ u, recurse(plant, u), rtol=0, atol=1e-12 * scale)
+    assert np.array_equal(toeplitz_matrix(plant, n), model.toeplitz)
+
+
+@PROPERTY
+@given(sampled_plants(), horizons)
+def test_property_circulant_is_wrapped_markov(plant, n):
+    model = LiftedModel.build(plant, n)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    assert np.array_equal(model.circulant, model.markov[idx])
+    assert np.array_equal(circulant_matrix(plant, n), model.circulant)
+    assert circulant_deviation(model.circulant) == 0.0
+
+
+@PROPERTY
+@given(sampled_plants(), horizons)
+def test_property_fft_conjugation_matches_dense_dft(plant, n):
+    model = LiftedModel.build(plant, n)
+    H = dft_matrix(n)
+    dense = H @ model.circulant @ np.linalg.inv(H)
+    tol = 1e-12 * np.linalg.norm(model.circulant)
+    report = dft_verify(model)
+    assert np.max(np.abs(report.diagonal - np.diag(dense))) <= tol
+    assert abs(report.max_offdiag - np.max(np.abs(dense - np.diag(np.diag(dense))))) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_circulant_deviation_matches_diagonal_loop(n):
+    # reference: one boolean mask per wrapped diagonal
+    matrix = np.random.default_rng(n).standard_normal((n, n))
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    spreads = [np.ptp(matrix[idx == d]) for d in range(n)]
+    assert circulant_deviation(matrix) == max(spreads)
+
+
+# Well conditioned (about 1e4), yet an absolute 1e-10 bound on the inverse
+# column's imaginary round-off (1.3e-10 here) once rejected it.
+ROUND_OFF_PLANT = discretize_zoh(realize(ContinuousPlant((5.6,), ((7.5, 0.25),))), T)
+
+
+@PROPERTY
+@given(sampled_plants(), horizons)
+@example(ROUND_OFF_PLANT, 200)
+def test_property_circulant_inverse_or_ill_conditioned(plant, n):
+    model = LiftedModel.build(plant, n)
+    try:
+        inverse = circulant_inverse(model)
+    except IllConditionedCirculantError:
+        return
+    scale = np.linalg.norm(model.circulant, 1) * np.linalg.norm(inverse, 1)
+    assert np.max(np.abs(inverse @ model.circulant - np.eye(n))) <= 1e-12 * scale
