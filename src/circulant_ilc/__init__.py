@@ -9,7 +9,13 @@ classical time-domain laws it is compared against here.
 """
 
 from .convergence import ConvergenceReport, GainSweep, analyze, gain_sweep
-from .errors import ConfigError, DegenerateSingularValueError, IllConditionedCirculantError
+from .errors import (
+    ConfigError,
+    DegenerateSingularValueError,
+    DivergedRunError,
+    IllConditionedCirculantError,
+    RankDeficientPlantError,
+)
 from .laws import (
     LearningLaw,
     accelerated_law,

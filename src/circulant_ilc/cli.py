@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, laws, optimizer, simulation
-from .errors import ConfigError, DegenerateSingularValueError, IllConditionedCirculantError
+from .errors import (
+    ConfigError,
+    DegenerateSingularValueError,
+    DivergedRunError,
+    IllConditionedCirculantError,
+    RankDeficientPlantError,
+)
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, discretize_zoh, realize
@@ -302,16 +308,22 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    """A diverging run writes its finite iterations, names the first
+    non-finite one on stderr and exits 3."""
     ws = _workspace(cfg)
     out = _outdir(cfg)
-    if cfg.traj == "worst_case":
-        power = cfg.power if cfg.power > 1 else 6
-        law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
-        result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
-    else:
-        law = _build_law(ws, cfg.law)
-        traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
-        result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
+    diverged = None
+    try:
+        if cfg.traj == "worst_case":
+            power = cfg.power if cfg.power > 1 else 6
+            law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
+            result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
+        else:
+            law = _build_law(ws, cfg.law)
+            traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
+            result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
+    except DivergedRunError as exc:
+        diverged, result = exc, exc.result
     write_rows(
         out / "rms.csv",
         ["iteration", "rms"],
@@ -322,6 +334,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         cfg,
         {"q": result.q, "law": result.law_kind, "traj": cfg.traj},
     )
+    if diverged is not None:
+        print(f"numerical degeneracy: {diverged}", file=sys.stderr)
+        return 3
     print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
     return 0
 
@@ -447,7 +462,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateSingularValueError, IllConditionedCirculantError) as exc:
+    except (
+        DegenerateSingularValueError,
+        DivergedRunError,
+        IllConditionedCirculantError,
+        RankDeficientPlantError,
+    ) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
 

@@ -32,3 +32,20 @@ class DegenerateSingularValueError(RuntimeError):
             f"singular value {index} is degenerate: gap {gap:.3e} "
             f"below tolerance relative to sigma_1 = {scale:.3e}"
         )
+
+
+class RankDeficientPlantError(ValueError):
+    """Plant matrix is numerically rank deficient; a law that inverts it is undefined."""
+
+
+class DivergedRunError(ArithmeticError):
+    """A learning run's error stopped being finite.
+
+    iteration: the first iteration whose error is not finite.
+    result: the run's record of the iterations before it, all finite.
+    """
+
+    def __init__(self, iteration, result):
+        self.iteration = iteration
+        self.result = result
+        super().__init__(f"learning run diverged: error is not finite at iteration {iteration}")

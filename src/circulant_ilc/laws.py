@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import RankDeficientPlantError
 from .lifted import DeletedModel
 
 __all__ = [
@@ -111,7 +112,7 @@ def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
     rows, cols = p_matrix.shape
     U, s, Vt = np.linalg.svd(p_matrix, full_matrices=False)
     if s[-1] <= rows * np.finfo(float).eps * s[0]:
-        raise ValueError("plant matrix is rank deficient; partial isometry undefined")
+        raise RankDeficientPlantError("plant matrix is rank deficient; partial isometry undefined")
     return LearningLaw(Vt.T @ U.T, "partial_isometry", cols - rows)
 
 

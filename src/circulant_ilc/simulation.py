@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergedRunError
 from .laws import LearningLaw, signed_svd
 from .lifted import LiftedModel
 from .plants import DiscretePlant
@@ -90,7 +91,8 @@ def run_ilc(
 
     The output is always produced over the full horizon; the learning update
     and the RMS record see only the error at steps q+1..N, with q taken from
-    the law.
+    the law. A run whose error or RMS stops being finite raises
+    DivergedRunError, which carries the record of the iterations before it.
     """
     n = model.horizon
     q = law.q
@@ -106,23 +108,31 @@ def run_ilc(
     errors = np.empty((iterations + 1, n - q))
     deleted_errors = np.empty((iterations + 1, q))
     rms = np.empty(iterations + 1)
-    for j in range(iterations + 1):
-        y = model.toeplitz @ u + bias
-        full_error = trajectory.samples - y
-        inputs[j] = u
-        errors[j] = full_error[q:]
-        deleted_errors[j] = full_error[:q]
-        rms[j] = np.linalg.norm(errors[j]) / np.sqrt(n - q)
-        if j < iterations:
-            u = u + law.gain @ errors[j]
-    return SimulationResult(
-        inputs=inputs,
-        errors=errors,
-        deleted_errors=deleted_errors,
-        rms=rms,
-        law_kind=law.kind,
-        q=q,
-    )
+
+    def record(count):
+        return SimulationResult(
+            inputs=inputs[:count],
+            errors=errors[:count],
+            deleted_errors=deleted_errors[:count],
+            rms=rms[:count],
+            law_kind=law.kind,
+            q=q,
+        )
+
+    # Overflow is detected below as a non-finite error, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(iterations + 1):
+            y = model.toeplitz @ u + bias
+            full_error = trajectory.samples - y
+            inputs[j] = u
+            errors[j] = full_error[q:]
+            deleted_errors[j] = full_error[:q]
+            rms[j] = np.linalg.norm(errors[j]) / np.sqrt(n - q)
+            if not (np.isfinite(rms[j]) and np.isfinite(full_error).all()):
+                raise DivergedRunError(j, record(j))
+            if j < iterations:
+                u = u + law.gain @ errors[j]
+    return record(iterations + 1)
 
 
 def worst_case_experiment(

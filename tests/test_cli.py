@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,31 @@ def test_simulate_rms_decays(tmp_path):
     rms = [float(r[1]) for r in rows]
     assert len(rms) == 9
     assert rms[-1] < rms[0]
+
+
+def test_simulate_divergence_exits_three(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported, not warned about
+        code = run(["simulate", "--law", "contraction_mapping", "--law-gain", 1e6,
+                    "--iterations", 200, "--out", tmp_path])
+    assert code == 3
+    _, rows = read_csv(tmp_path / "rms.csv")
+    assert 0 < len(rows) < 201
+    assert all(np.isfinite(float(r[1])) for r in rows)
+    err = capsys.readouterr().err
+    assert f"not finite at iteration {len(rows)}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("plant", sorted(PRESETS))
+def test_analyze_rank_deficient_partial_isometry_exits_three(tmp_path, capsys, plant):
+    # analyze defaults to q = 0, where the unstable sampling zero leaves P
+    # numerically singular
+    assert run(["analyze", "--plant", plant, "--law", "partial_isometry",
+                "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "rank deficient" in err
+    assert err.count("\n") == 1
 
 
 def test_simulate_worst_case_stalls(tmp_path):

@@ -6,8 +6,7 @@ the structured inverse, and explicit complex conjugation for the DFT check.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
@@ -28,6 +27,7 @@ from circulant_ilc import (
     step_observability,
     toeplitz_matrix,
 )
+from strategies import PROPERTY, horizons, sampled_plants
 
 T = 0.02
 N = 51
@@ -220,25 +220,7 @@ def test_unstable_zero_leaves_tiny_singular_value(third):
 
 # --- properties over random stable plants and horizons ----------------------
 # The structured builders, the FFT conjugation and the FFT inverse against the
-# dense references they replace. Runs are derandomized and keep no example database.
-
-PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
-
-
-@st.composite
-def sampled_plants(draw):
-    """1-3 stable sections with poles on both sides of Nyquist (157 rad/s at 50 Hz)."""
-    first, second = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        omega = draw(st.floats(0.5, 500.0))
-        if draw(st.booleans()):
-            first.append(omega)
-        else:
-            second.append((omega, draw(st.floats(0.05, 2.0))))
-    return discretize_zoh(realize(ContinuousPlant(tuple(first), tuple(second))), T)
-
-
-horizons = st.integers(2, 200)
+# dense references they replace.
 
 
 @PROPERTY

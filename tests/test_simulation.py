@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from circulant_ilc import (
     DiscretePlant,
+    DivergedRunError,
     LearningLaw,
     LiftedModel,
     Trajectory,
@@ -190,3 +191,16 @@ def test_worst_case_requires_undeleted_law(third):
     dm = third.deleted(1)
     with pytest.raises(ValueError):
         worst_case_experiment(third.model, inverse_circulant_law(dm), 5)
+
+
+def test_diverging_run_stops_at_first_nonfinite_error(third):
+    law = contraction_mapping_law(third.model.toeplitz, 1e6)
+    traj = make_trajectory("yd1", third.plant, N)
+    with pytest.raises(DivergedRunError) as info:
+        run_ilc(third.model, law, traj, 200)
+    k = info.value.iteration
+    finite = run_ilc(third.model, law, traj, k - 1)
+    kept = info.value.result
+    assert kept.rms.size == k
+    for name in ("inputs", "errors", "deleted_errors", "rms"):
+        assert np.array_equal(getattr(kept, name), getattr(finite, name))
