@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,6 @@ from .plants import PRESETS, ContinuousPlant, discretize_zoh, realize
 __all__ = ["main", "ExperimentConfig", "build_config"]
 
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
-_INT_FIELDS = ("n", "q", "power", "opt_iterations", "region_size", "iterations")
-_FLOAT_FIELDS = (
-    "sample_hz", "phi", "law_gain", "law_weight", "opt_weight", "phi_min", "phi_max", "phi_step"
-)
 _MAX_SWEEP_POINTS = 100_000
 
 
@@ -105,10 +101,11 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
             if value is not None:
                 merged[name] = value
 
-    plant_source = merged.get("plant", "third_order")
+    plant_source = merged.get("plant", ExperimentConfig.plant)
     plant, hz_default, n_default, preset = _resolve_plant(plant_source)
-    merged.setdefault("sample_hz", hz_default if hz_default is not None else 50.0)
-    merged.setdefault("n", n_default if n_default is not None else 51)
+    for name, value in (("sample_hz", hz_default), ("n", n_default)):
+        if value is not None:
+            merged.setdefault(name, value)
     if merged.get("opt_iterations") is None and preset is not None:
         merged["opt_iterations"] = preset.optimizer_iterations
 
@@ -118,15 +115,15 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    for name in _INT_FIELDS:
-        value = getattr(cfg, name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(name, f"must be an integer, got {value!r}")
-    for name in _FLOAT_FIELDS:
-        value = getattr(cfg, name)
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (numeric and math.isfinite(value)):
-            raise ConfigError(name, f"must be a finite number, got {value!r}")
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if f.type in (int, int | None):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f.name, f"must be an integer, got {value!r}")
+        elif f.type is float:
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (numeric and math.isfinite(value)):
+                raise ConfigError(f.name, f"must be a finite number, got {value!r}")
     if not isinstance(cfg.out, str):
         raise ConfigError("out", f"must be a path string, got {cfg.out!r}")
     if cfg.n < 1:
@@ -135,8 +132,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("sample_hz", "sample rate must be positive")
     if cfg.q is not None and not 0 <= cfg.q < cfg.n:
         raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
-    if cfg.law not in laws.KINDS:
-        raise ConfigError("law", f"must be one of {laws.KINDS}")
+    if cfg.law not in _LAWS:
+        raise ConfigError("law", f"must be one of {tuple(_LAWS)}")
     if cfg.power < 1:
         raise ConfigError("power", "must be at least 1")
     if cfg.opt_weight <= 0:
@@ -195,17 +192,13 @@ def _workspace(cfg: ExperimentConfig, default_q=None) -> _Workspace:
     )
 
 
-def _opt_iterations(cfg: ExperimentConfig) -> int:
-    return cfg.opt_iterations if cfg.opt_iterations is not None else 1000
-
-
 def _optimize(ws: _Workspace):
     deleted = ws.deleted
     region = optimizer.GainRegion.corner_blocks(
         deleted.circulant_inverse.shape, ws.cfg.region_size
     )
     config = optimizer.OptimizerConfig(
-        iterations=_opt_iterations(ws.cfg),
+        iterations=1000 if ws.cfg.opt_iterations is None else ws.cfg.opt_iterations,
         weight=ws.cfg.opt_weight,
         region=region,
         reselect_region=ws.reselect_region,
@@ -213,27 +206,27 @@ def _optimize(ws: _Workspace):
     return optimizer.optimize(deleted, config)
 
 
-def _build_law(ws: _Workspace, kind: str):
-    deleted = ws.deleted
-    cfg = ws.cfg
-    if kind == "inverse_circulant":
-        return laws.inverse_circulant_law(deleted)
-    if kind == "scaled_inverse_circulant":
-        return laws.scaled_inverse_circulant_law(deleted, cfg.phi)
-    if kind == "accelerated":
-        return laws.accelerated_law(deleted, cfg.power)
-    if kind == "optimized_inverse_circulant":
-        trace = _optimize(ws)
-        if trace.diagnostic:
-            raise DegenerateSingularValueError(0, 0.0, float(trace.sigma[-1]))
-        return trace.law
-    if kind == "partial_isometry":
-        return laws.partial_isometry_law(deleted.toeplitz)
-    if kind == "contraction_mapping":
-        return laws.contraction_mapping_law(deleted.toeplitz, cfg.law_gain)
-    if kind == "quadratic_cost":
-        return laws.quadratic_cost_law(deleted.toeplitz, cfg.law_weight)
-    raise ConfigError("law", f"unknown law kind {kind!r}")
+def _optimized_law(ws: _Workspace):
+    trace = _optimize(ws)
+    if trace.diagnostic:
+        raise DegenerateSingularValueError(0, 0.0, float(trace.sigma[-1]))
+    return trace.law
+
+
+# One constructor per law, in laws.KINDS order; each reads its own parameter from the config.
+_LAWS = {
+    "inverse_circulant": lambda ws: laws.inverse_circulant_law(ws.deleted),
+    "optimized_inverse_circulant": _optimized_law,
+    "accelerated": lambda ws: laws.accelerated_law(ws.deleted, ws.cfg.power),
+    "scaled_inverse_circulant": lambda ws: laws.scaled_inverse_circulant_law(
+        ws.deleted, ws.cfg.phi
+    ),
+    "partial_isometry": lambda ws: laws.partial_isometry_law(ws.deleted.toeplitz),
+    "contraction_mapping": lambda ws: laws.contraction_mapping_law(
+        ws.deleted.toeplitz, ws.cfg.law_gain
+    ),
+    "quadratic_cost": lambda ws: laws.quadratic_cost_law(ws.deleted.toeplitz, ws.cfg.law_weight),
+}
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -242,13 +235,9 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_metadata(path: Path, cfg: ExperimentConfig, resolved: dict):
-    write_json(path, {"config": asdict(cfg), "resolved": resolved})
-
-
-def cmd_analyze(cfg: ExperimentConfig) -> int:
+def cmd_analyze(cfg: ExperimentConfig) -> tuple[int, dict]:
     ws = _workspace(cfg, default_q=0)
-    law = _build_law(ws, cfg.law)
+    law = _LAWS[cfg.law](ws)
     E = laws.error_propagation(ws.deleted.toeplitz, law)
     if cfg.power > 1 and cfg.law != "accelerated":
         E = np.linalg.matrix_power(E, cfg.power)
@@ -274,15 +263,14 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             "monotonic": report.monotonic,
         },
     )
-    _write_metadata(out / "analyze_meta.json", cfg, {"q": ws.q, "law": law.kind})
     print(
         f"sigma_max = {fmt(report.sigma_max)}  spectral_radius = {fmt(report.spectral_radius)}"
         f"  monotonic = {report.monotonic}  converges = {report.converges}"
     )
-    return 0
+    return 0, {"q": ws.q, "law": law.kind}
 
 
-def cmd_optimize(cfg: ExperimentConfig) -> int:
+def cmd_optimize(cfg: ExperimentConfig) -> tuple[int, dict]:
     ws = _workspace(cfg)
     trace = _optimize(ws)
     out = _outdir(cfg)
@@ -297,17 +285,15 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
         out / (tag[:-4] + ".json"),
         {"kind": trace.law.kind, "q": trace.law.q, "params": trace.law.params},
     )
-    _write_metadata(
-        out / "optimize_meta.json", cfg, {"q": ws.q, "reselect_region": ws.reselect_region}
-    )
+    resolved = {"q": ws.q, "reselect_region": ws.reselect_region}
     if trace.diagnostic:
         print(trace.diagnostic, file=sys.stderr)
-        return 3
+        return 3, resolved
     print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
-    return 0
+    return 0, resolved
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
     """A diverging run writes its finite iterations, names the first
     non-finite one on stderr and exits 3."""
     ws = _workspace(cfg)
@@ -319,7 +305,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
             result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
         else:
-            law = _build_law(ws, cfg.law)
+            law = _LAWS[cfg.law](ws)
             traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
             result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
     except DivergedRunError as exc:
@@ -329,27 +315,20 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         ["iteration", "rms"],
         [(j, v) for j, v in enumerate(result.rms)],
     )
-    _write_metadata(
-        out / "simulate_meta.json",
-        cfg,
-        {"q": result.q, "law": result.law_kind, "traj": cfg.traj},
-    )
+    resolved = {"q": result.q, "law": result.law_kind, "traj": cfg.traj}
     if diverged is not None:
         print(f"numerical degeneracy: {diverged}", file=sys.stderr)
-        return 3
+        return 3, resolved
     print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
-    return 0
+    return 0, resolved
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
+def cmd_compare(cfg: ExperimentConfig) -> tuple[int, dict]:
     ws = _workspace(cfg)
-    deleted = ws.deleted
-    compared = [
-        _build_law(ws, "optimized_inverse_circulant"),
-        laws.partial_isometry_law(deleted.toeplitz),
-        laws.contraction_mapping_law(deleted.toeplitz, cfg.law_gain),
-        laws.quadratic_cost_law(deleted.toeplitz, cfg.law_weight),
-    ]
+    kinds = (
+        "optimized_inverse_circulant", "partial_isometry", "contraction_mapping", "quadratic_cost"
+    )
+    compared = [_LAWS[kind](ws) for kind in kinds]
     traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
     results = [simulation.run_ilc(ws.model, law, traj, cfg.iterations) for law in compared]
     out = _outdir(cfg)
@@ -358,16 +337,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         [j] + [r.rms[j] for r in results] for j in range(cfg.iterations + 1)
     ]
     write_rows(out / "compare.csv", header, rows)
-    _write_metadata(
-        out / "compare_meta.json",
-        cfg,
-        {"q": ws.q, "laws": [r.law_kind for r in results], "traj": cfg.traj},
-    )
     print("  ".join(f"{r.law_kind}: rms[-1]={fmt(r.rms[-1])}" for r in results))
-    return 0
+    return 0, {"q": ws.q, "laws": [r.law_kind for r in results], "traj": cfg.traj}
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
+def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     ws = _workspace(cfg)
     count = int(round((cfg.phi_max - cfg.phi_min) / cfg.phi_step))
     grid = cfg.phi_min + cfg.phi_step * np.arange(count + 1)
@@ -378,26 +352,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         ["phi", "sigma_max", "spectral_radius"],
         list(zip(sweep.gains, sweep.sigma_max, sweep.spectral_radius)),
     )
-    _write_metadata(out / "sweep_meta.json", cfg, {"q": ws.q})
     print(
         f"minimum sigma_max = {fmt(sweep.sigma_max[sweep.best_index])} "
         f"at phi = {fmt(sweep.best_gain)}"
     )
-    return 0
+    return 0, {"q": ws.q}
 
 
-def cmd_sensitivity(cfg: ExperimentConfig) -> int:
+def cmd_sensitivity(cfg: ExperimentConfig) -> tuple[int, dict]:
     ws = _workspace(cfg)
     surface = optimizer.sensitivity_map(ws.deleted)
     out = _outdir(cfg)
     write_matrix(out / matrix_filename("sensitivity", cfg.n, ws.q), surface.matrix)
-    _write_metadata(
-        out / "sensitivity_meta.json",
-        cfg,
-        {"q": ws.q, "flagged_columns": surface.flagged_columns.tolist()},
-    )
     print(f"flagged columns: {surface.flagged_columns.tolist()}")
-    return 0
+    return 0, {"q": ws.q, "flagged_columns": surface.flagged_columns.tolist()}
 
 
 _COMMANDS = {
@@ -458,7 +426,10 @@ def main(argv=None) -> int:
         if args.command == "optimize" and args.opt_iterations is None and args.iterations is not None:
             args.opt_iterations, args.iterations = args.iterations, None
         cfg = build_config(args, file_config)
-        return _COMMANDS[args.command](cfg)
+        code, resolved = _COMMANDS[args.command](cfg)
+        meta = {"config": asdict(cfg), "resolved": resolved}
+        write_json(_outdir(cfg) / f"{args.command}_meta.json", meta)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -130,18 +130,17 @@ class DiagonalizationReport:
         return float(np.max(self.aligned_error))
 
 
-def dft_verify(model: LiftedModel, plant: DiscretePlant | None = None) -> DiagonalizationReport:
+def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     """Diagonalize the circulant by the DFT and compare with the frequency response."""
-    plant = plant if plant is not None else model.plant
     n = model.horizon
     # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows
     PE = np.fft.ifft(np.fft.fft(model.circulant, axis=0), axis=1)
     off = PE - np.diag(np.diag(PE))
     diagonal = np.diag(PE).copy()
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
-    transfer = np.array([frequency_response(plant, z) for z in zs])
+    transfer = np.array([frequency_response(model.plant, z) for z in zs])
     aligned = np.abs(diagonal - zs * transfer)
-    tail = np.linalg.norm(np.linalg.matrix_power(plant.A, n - 1), 2)
+    tail = np.linalg.norm(np.linalg.matrix_power(model.plant.A, n - 1), 2)
     return DiagonalizationReport(
         max_offdiag=float(np.max(np.abs(off))),
         diagonal=diagonal,

@@ -128,8 +128,9 @@ def _check_gap(s: np.ndarray, k: int):
     gap = np.inf
     if k > 0:
         gap = min(gap, float(s[k - 1] - s[k]))
-    if k + 1 < s.size:
-        gap = min(gap, float(s[k] - s[k + 1]))
+    # a square matrix's last singular value mirrors to -s[k]: its kink at zero
+    lower = s[k + 1] if k + 1 < s.size else -s[k]
+    gap = min(gap, float(s[k] - lower))
     if gap <= _GAP_RTOL * scale:
         raise DegenerateSingularValueError(k, gap, scale)
 
@@ -222,13 +223,10 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
         except DegenerateSingularValueError as exc:
             diagnostic = str(exc)
             break
+        grad = -np.outer(P.T @ U[:, 0], Vt[0])
         if config.reselect_region:
-            grad = -np.outer(P.T @ U[:, 0], Vt[0, :])
             rows, cols = _top_positions(grad, len(region))
-            S = grad[rows, cols]
-        else:
-            S = -((P.T @ U[:, 0])[rows] * Vt[0, cols])
-        L[rows, cols] += descent_step(s[0], S, config.weight)
+        L[rows, cols] += descent_step(s[0], grad[rows, cols], config.weight)
 
     law = LearningLaw(
         L,

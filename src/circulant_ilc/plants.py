@@ -6,6 +6,7 @@ on the Markov parameters of the sampled system, which are invariant to the
 realization chosen here.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,17 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     """Exact zero-order-hold sampling of a continuous realization.
 
     A = exp(Ac T) and B = (integral of exp(Ac t) dt) Bc come out of one
-    exponential of the augmented matrix [[Ac, Bc], [0, 0]].
+    exponential of the augmented matrix [[Ac, Bc], [0, 0]]. A pole whose
+    imaginary part reaches pi/T aliases onto a slower one: a RuntimeWarning.
     """
     if period <= 0:
         raise ValueError("sample period must be positive")
     n = css.order
+    nyquist = np.pi / period
+    omega = np.max(np.abs(np.linalg.eigvals(css.A).imag), initial=0.0)
+    if omega >= nyquist:
+        msg = f"pole at {omega:.6g} rad/s aliases: at or above Nyquist {nyquist:.6g} rad/s"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = css.A
     M[:n, n:] = css.B

@@ -1,5 +1,7 @@
 """Hypothesis settings and strategies shared by the property tests."""
 
+import warnings
+
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,10 @@ def sampled_plants(draw):
             first.append(omega)
         else:
             second.append((omega, draw(st.floats(0.05, 2.0))))
-    return discretize_zoh(realize(ContinuousPlant(tuple(first), tuple(second))), T)
+    with warnings.catch_warnings():
+        # poles above Nyquist are drawn on purpose
+        warnings.filterwarnings("ignore", "pole at .* aliases", RuntimeWarning)
+        return discretize_zoh(realize(ContinuousPlant(tuple(first), tuple(second))), T)
 
 
 horizons = st.integers(2, 200)

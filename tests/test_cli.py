@@ -18,7 +18,8 @@ from circulant_ilc import (
     optimize,
     realize,
 )
-from circulant_ilc.cli import build_config, main
+from circulant_ilc.cli import _LAWS, build_config, main
+from circulant_ilc.laws import KINDS
 
 
 def run(args):
@@ -66,6 +67,8 @@ def test_optimize_degeneracy_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "_optimize", lambda ws: stub)
     assert run(["optimize", "--out", tmp_path]) == 3
     assert "degenerate" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+    assert meta["resolved"] == {"q": 1, "reselect_region": False}
 
 
 def test_analyze_sixth_power(tmp_path):
@@ -135,6 +138,29 @@ def test_simulate_divergence_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"not finite at iteration {len(rows)}" in err
     assert err.count("\n") == 1
+    meta = json.loads((tmp_path / "simulate_meta.json").read_text())
+    assert meta["resolved"]["law"] == "contraction_mapping"
+    # compare raises out of the command, before any artifact or meta is written
+    out = tmp_path / "compare"
+    assert run(["compare", "--law-gain", 1e6, "--opt-iterations", 5,
+                "--iterations", 200, "--out", out]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "compare_meta.json").exists()
+
+
+def test_law_table_follows_kinds():
+    assert tuple(_LAWS) == KINDS
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_analyze_every_law_kind(tmp_path, kind):
+    code = run(["analyze", "--law", kind, "--opt-iterations", 5, "--out", tmp_path])
+    meta = tmp_path / "analyze_meta.json"
+    if kind == "partial_isometry":  # analyze's q = 0 leaves P rank deficient
+        assert code == 3 and not meta.exists()
+        return
+    assert code == 0
+    assert json.loads(meta.read_text())["resolved"]["law"] == kind
 
 
 @pytest.mark.parametrize("plant", sorted(PRESETS))

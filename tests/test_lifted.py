@@ -26,6 +26,7 @@ from circulant_ilc import (
     realize,
     step_observability,
     toeplitz_matrix,
+    unstable_zero_count,
 )
 from strategies import PROPERTY, horizons, sampled_plants
 
@@ -203,6 +204,22 @@ def test_delete_default_counts(benches):
     expected = {"third_order": 1, "fourth_order": 1, "fifth_order": 2}
     for name, bench in benches.items():
         assert delete_initial_steps(bench.model, bench.inverse).q == expected[name]
+
+
+@PROPERTY
+@given(sampled_plants(), horizons)
+def test_property_default_deletion_is_unstable_zero_count(plant, n):
+    model = LiftedModel.build(plant, n)
+    inverse = np.arange(n * n, dtype=float).reshape(n, n)  # deletion only slices it
+    count = unstable_zero_count(plant)
+    if count >= n:
+        with pytest.raises(ValueError):
+            delete_initial_steps(model, inverse)
+        return
+    deleted = delete_initial_steps(model, inverse)
+    assert deleted.q == count
+    assert np.array_equal(deleted.toeplitz, model.toeplitz[count:])
+    assert np.array_equal(deleted.circulant_inverse, inverse[:, count:])
 
 
 def test_delete_rejects_out_of_range(third):

@@ -6,18 +6,25 @@ full SVD; the step oracle is the dense regularized solve.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
     DegenerateSingularValueError,
     DeletedModel,
     GainRegion,
+    IllConditionedCirculantError,
+    LiftedModel,
     OptimizerConfig,
+    circulant_inverse,
+    delete_initial_steps,
     descent_step,
     optimize,
     sensitivity_map,
     sensitivity_matrix,
 )
+from strategies import PROPERTY, horizons, sampled_plants
 
 
 def fd_sensitivity(P, L, i, j, k=0, step=1e-6):
@@ -64,6 +71,8 @@ def test_config_validation():
 def test_sensitivity_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSingularValueError):
         sensitivity_matrix(np.eye(4), np.eye(4))  # E = 0, all sigma equal
+    with pytest.raises(DegenerateSingularValueError):
+        sensitivity_matrix(np.eye(1), np.eye(1))  # sigma_1 = |e| at its kink e = 0
 
 
 def test_sensitivity_matches_unit_perturbation_definition():
@@ -88,6 +97,36 @@ def test_sensitivity_matches_finite_differences_random():
     got = S[2, 3]
     oracle = fd_sensitivity(P, L, 2, 3)
     assert abs(got - oracle) / abs(oracle) < 1e-5
+
+
+@PROPERTY
+@given(sampled_plants(), horizons, st.data())
+def test_property_sensitivity_matches_central_difference(plant, n, data):
+    model = LiftedModel.build(plant, n)
+    try:
+        inverse = circulant_inverse(model)
+    except IllConditionedCirculantError:
+        return
+    dm = delete_initial_steps(model, inverse, data.draw(st.integers(0, n - 1), label="q"))
+    P, L = dm.toeplitz, dm.circulant_inverse
+    try:
+        S = sensitivity_matrix(P, L)
+    except DegenerateSingularValueError:
+        return
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, L.shape[1] - 1), label="j")
+    col = np.abs(P[:, i]).sum()  # bounds |S[i, j]|; a 2-norm could underflow
+    if col == 0:
+        assert S[i, j] == 0
+        return
+    s = np.linalg.svd(np.eye(L.shape[1]) - P @ L, compute_uv=False)
+    gap = s[0] - s[1] if s.size > 1 else s[0]
+    # A step that moves E by 1e-3 of the gap keeps the third-order truncation
+    # near 1e-6 * col; forming I - P L adds round-off of n eps (1 + |P| |L|).
+    step = 1e-3 * gap / col
+    noise = n * np.finfo(float).eps * (1 + np.linalg.norm(P, 2) * np.linalg.norm(L, 2))
+    oracle = fd_sensitivity(P, L, i, j, step=step)
+    assert abs(S[i, j] - oracle) <= 1e-5 * col + noise / step
 
 
 @pytest.mark.parametrize("name,q", [("third_order", 1), ("fourth_order", 2), ("fifth_order", 2)])

@@ -4,6 +4,8 @@ The independent oracle for sampling accuracy is adaptive ODE integration of
 the continuous realization under staircase inputs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -102,6 +104,20 @@ def test_zoh_scalar_closed_form():
     plant = discretize_zoh(css, T)
     assert_allclose(plant.A, [[np.exp(-T)]], rtol=1e-14)
     assert_allclose(plant.B, [[1.0 - np.exp(-T)]], rtol=1e-13)
+
+
+def test_zoh_warns_when_a_pole_aliases(benches):
+    # 1e4 rad/s is far above the 157 rad/s Nyquist frequency at 50 Hz
+    with pytest.warns(RuntimeWarning, match="aliases"):
+        discretize_zoh(realize(ContinuousPlant(second_order=((1e4, 0.1),))), T)
+    # real poles never alias; the presets, and the benchmark's seeded plants
+    # (preset frequencies scaled by at most 1.25, so up to 92.5 rad/s), stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        discretize_zoh(realize(ContinuousPlant(first_order=(1e4,))), T)
+        discretize_zoh(realize(ContinuousPlant(second_order=((92.5, 0.05),))), T)
+        for bench in benches.values():
+            discretize_zoh(bench.css, T)
 
 
 def test_zoh_rejects_bad_period(third):

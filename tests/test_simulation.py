@@ -6,17 +6,22 @@ for zero initial state.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
     DiscretePlant,
     DivergedRunError,
+    IllConditionedCirculantError,
     LearningLaw,
     LiftedModel,
     Trajectory,
     accelerated_law,
     analyze,
+    circulant_inverse,
     contraction_mapping_law,
+    delete_initial_steps,
     error_propagation,
     inverse_circulant_law,
     make_trajectory,
@@ -27,6 +32,7 @@ from circulant_ilc import (
     signed_svd,
     worst_case_experiment,
 )
+from strategies import PROPERTY, horizons, sampled_plants
 
 T = 0.02
 N = 51
@@ -100,6 +106,43 @@ def test_direct_run_matches_closed_form(benches, name, q):
             # where absolute 1e-8 sits below double-precision resolution
             gap = np.linalg.norm(result.errors[j] - e)
             assert gap <= 1e-8 * (1.0 + np.linalg.norm(e))
+
+
+@PROPERTY
+@given(sampled_plants(), horizons, st.data())
+def test_property_run_matches_closed_form(plant, n, data):
+    model = LiftedModel.build(plant, n)
+    q = data.draw(st.integers(0, n - 1), label="q")
+    P = model.toeplitz[q:]
+    kind = data.draw(st.sampled_from(["inverse_circulant", "contraction", "quadratic"]))
+    if kind == "inverse_circulant":
+        try:
+            law = inverse_circulant_law(delete_initial_steps(model, circulant_inverse(model), q))
+        except IllConditionedCirculantError:
+            return
+    elif kind == "contraction":
+        law = contraction_mapping_law(P, data.draw(st.floats(0.1, 10.0), label="gain"))
+    else:
+        law = quadratic_cost_law(P, data.draw(st.floats(1e-3, 1.0), label="weight"))
+    iterations = data.draw(st.integers(1, 8), label="iterations")
+    traj = make_trajectory("yd1", plant, n)
+    try:
+        result = run_ilc(model, law, traj, iterations)
+    except DivergedRunError:
+        return
+    E = error_propagation(P, law)
+    # first-order round-off of one run step, carried forward through E
+    step_error = n * np.finfo(float).eps * (
+        np.linalg.norm(traj.samples)
+        + np.linalg.norm(model.toeplitz, 2) * np.max(np.linalg.norm(result.inputs, axis=1))
+        + np.linalg.norm(P, 2) * np.linalg.norm(law.gain, 2)
+        * np.max(np.linalg.norm(result.errors, axis=1))
+    )
+    growth = np.linalg.norm(E, 2)
+    for j in range(iterations + 1):
+        exact = np.linalg.matrix_power(E, j) @ traj.samples[q:]  # zero input and state
+        bound = step_error * sum(growth**k for k in range(j + 1))
+        assert np.linalg.norm(result.errors[j] - exact) <= bound
 
 
 def test_optimized_law_contracts_every_iteration(third, optimized):
