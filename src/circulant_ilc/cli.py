@@ -26,12 +26,16 @@ from .errors import (
 )
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
-from .plants import PRESETS, ContinuousPlant, discretize_zoh, realize
+from .plants import PRESETS, ContinuousPlant, Preset, discretize_zoh, realize
 
 __all__ = ["main", "ExperimentConfig", "build_config"]
 
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
 _MAX_SWEEP_POINTS = 100_000
+# One budget bounds the work fields: 2**24 float64 entries (128 MiB) in the N x N
+# lifted matrices, the (iterations + 1) x N learning record, the descent trace,
+# and the power N x N terms the accelerated law sums.
+_MAX_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,11 @@ def _resolve_plant(source):
 
 def build_config(args=None, file_config=None) -> ExperimentConfig:
     """Merge defaults, JSON config file values, and flag overrides (flags win)."""
+    return _configure(args, file_config)[0]
+
+
+def _configure(args, file_config):
+    """The validated config plus the plant and Preset (or None) it resolved."""
     merged = {}
     if file_config:
         unknown = set(file_config) - {f for f in ExperimentConfig.__dataclass_fields__}
@@ -111,7 +120,7 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
 
     cfg = ExperimentConfig(**{**merged, "plant": plant_source})
     _validate(cfg)
-    return cfg
+    return cfg, plant, preset
 
 
 def _validate(cfg: ExperimentConfig):
@@ -155,27 +164,31 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("traj", f"must be one of {_TRAJ_CHOICES}")
     if cfg.iterations < 0:
         raise ConfigError("iterations", "must be nonnegative")
+    for name, entries in (
+        ("n", cfg.n**2),
+        ("iterations", (cfg.iterations + 1) * cfg.n),
+        ("opt_iterations", (cfg.opt_iterations or 0) + 1),
+        ("power", cfg.power * cfg.n**2),
+    ):
+        if entries > _MAX_ENTRIES:
+            raise ConfigError(name, f"needs {entries} float64 entries, over the {_MAX_ENTRIES} budget")
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Models shared by the command handlers."""
+    """One run's config, models and output directory, shared by the command handlers."""
 
     cfg: ExperimentConfig
+    preset: Preset | None
     model: LiftedModel
     inverse: np.ndarray
     deleted: DeletedModel
-    reselect_region: bool = False   # descent region policy, from the preset
-
-    @property
-    def q(self):
-        return self.deleted.q
+    out: Path
 
 
-def _workspace(cfg: ExperimentConfig, default_q=None) -> _Workspace:
+def _workspace(cfg: ExperimentConfig, plant, preset, default_q=None) -> _Workspace:
     """Deletion count: explicit --q, else the command default (analyze: 0),
     else the preset's q, else the plant's unstable zero count."""
-    plant, _, _, preset = _resolve_plant(cfg.plant)
     discrete = discretize_zoh(realize(plant), 1.0 / cfg.sample_hz)
     model = LiftedModel.build(discrete, cfg.n)
     inverse = circulant_inverse(model)
@@ -186,10 +199,9 @@ def _workspace(cfg: ExperimentConfig, default_q=None) -> _Workspace:
         deleted = delete_initial_steps(model, inverse, q)  # q None: unstable zero count
     except ValueError as exc:
         raise ConfigError("q", str(exc)) from None
-    reselect = preset is not None and preset.reselect_region
-    return _Workspace(
-        cfg=cfg, model=model, inverse=inverse, deleted=deleted, reselect_region=reselect
-    )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return _Workspace(cfg, preset, model, inverse, deleted, out)
 
 
 def _optimize(ws: _Workspace):
@@ -198,18 +210,18 @@ def _optimize(ws: _Workspace):
         deleted.circulant_inverse.shape, ws.cfg.region_size
     )
     config = optimizer.OptimizerConfig(
-        iterations=1000 if ws.cfg.opt_iterations is None else ws.cfg.opt_iterations,
+        iterations=ws.cfg.opt_iterations or Preset.optimizer_iterations,  # None without a preset
         weight=ws.cfg.opt_weight,
         region=region,
-        reselect_region=ws.reselect_region,
+        reselect_region=getattr(ws.preset, "reselect_region", False),
     )
     return optimizer.optimize(deleted, config)
 
 
 def _optimized_law(ws: _Workspace):
     trace = _optimize(ws)
-    if trace.diagnostic:
-        raise DegenerateSingularValueError(0, 0.0, float(trace.sigma[-1]))
+    if trace.diagnostic is not None:
+        raise trace.diagnostic
     return trace.law
 
 
@@ -229,22 +241,15 @@ _LAWS = {
 }
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_analyze(cfg: ExperimentConfig) -> tuple[int, dict]:
-    ws = _workspace(cfg, default_q=0)
+def cmd_analyze(ws: _Workspace):
+    cfg = ws.cfg
     law = _LAWS[cfg.law](ws)
     E = laws.error_propagation(ws.deleted.toeplitz, law)
     if cfg.power > 1 and cfg.law != "accelerated":
         E = np.linalg.matrix_power(E, cfg.power)
     report = convergence.analyze(E)
-    out = _outdir(cfg)
     write_rows(
-        out / "table.csv",
+        ws.out / "table.csv",
         ["order", "singular_value", "eigenvalue_magnitude"],
         [
             (i + 1, s, v)
@@ -254,7 +259,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> tuple[int, dict]:
         ],
     )
     write_json(
-        out / "report.json",
+        ws.out / "report.json",
         {
             "singular_values": [fmt(v) for v in report.singular_values],
             "eigenvalue_magnitudes": [fmt(v) for v in report.eigenvalue_magnitudes],
@@ -267,37 +272,32 @@ def cmd_analyze(cfg: ExperimentConfig) -> tuple[int, dict]:
         f"sigma_max = {fmt(report.sigma_max)}  spectral_radius = {fmt(report.spectral_radius)}"
         f"  monotonic = {report.monotonic}  converges = {report.converges}"
     )
-    return 0, {"q": ws.q, "law": law.kind}
+    return {"q": ws.deleted.q, "law": law.kind}, None
 
 
-def cmd_optimize(cfg: ExperimentConfig) -> tuple[int, dict]:
-    ws = _workspace(cfg)
+def cmd_optimize(ws: _Workspace):
     trace = _optimize(ws)
-    out = _outdir(cfg)
     write_rows(
-        out / "trace.csv",
+        ws.out / "trace.csv",
         ["iteration", "sigma_max", "spectral_radius"],
         [(i, s, r) for i, (s, r) in enumerate(zip(trace.sigma, trace.rho))],
     )
-    tag = matrix_filename("law_optimized_inverse_circulant", cfg.n, ws.q)
-    write_matrix(out / tag, trace.gain)
+    tag = matrix_filename("law_optimized_inverse_circulant", ws.cfg.n, ws.deleted.q)
+    write_matrix(ws.out / tag, trace.gain)
     write_json(
-        out / (tag[:-4] + ".json"),
+        ws.out / (tag[:-4] + ".json"),
         {"kind": trace.law.kind, "q": trace.law.q, "params": trace.law.params},
     )
-    resolved = {"q": ws.q, "reselect_region": ws.reselect_region}
-    if trace.diagnostic:
-        print(trace.diagnostic, file=sys.stderr)
-        return 3, resolved
-    print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
-    return 0, resolved
+    if trace.diagnostic is None:
+        print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
+    resolved = {"q": ws.deleted.q, "reselect_region": getattr(ws.preset, "reselect_region", False)}
+    return resolved, trace.diagnostic
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """A diverging run writes its finite iterations, names the first
-    non-finite one on stderr and exits 3."""
-    ws = _workspace(cfg)
-    out = _outdir(cfg)
+def cmd_simulate(ws: _Workspace):
+    """A diverging run writes its finite iterations and returns the error
+    naming the first non-finite one."""
+    cfg = ws.cfg
     diverged = None
     try:
         if cfg.traj == "worst_case":
@@ -311,44 +311,39 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
     except DivergedRunError as exc:
         diverged, result = exc, exc.result
     write_rows(
-        out / "rms.csv",
+        ws.out / "rms.csv",
         ["iteration", "rms"],
         [(j, v) for j, v in enumerate(result.rms)],
     )
-    resolved = {"q": result.q, "law": result.law_kind, "traj": cfg.traj}
-    if diverged is not None:
-        print(f"numerical degeneracy: {diverged}", file=sys.stderr)
-        return 3, resolved
-    print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
-    return 0, resolved
+    if diverged is None:
+        print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
+    return {"q": result.q, "law": result.law_kind, "traj": cfg.traj}, diverged
 
 
-def cmd_compare(cfg: ExperimentConfig) -> tuple[int, dict]:
-    ws = _workspace(cfg)
+def cmd_compare(ws: _Workspace):
+    cfg = ws.cfg
     kinds = (
         "optimized_inverse_circulant", "partial_isometry", "contraction_mapping", "quadratic_cost"
     )
     compared = [_LAWS[kind](ws) for kind in kinds]
     traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
     results = [simulation.run_ilc(ws.model, law, traj, cfg.iterations) for law in compared]
-    out = _outdir(cfg)
     header = ["iteration"] + [f"rms_{r.law_kind}" for r in results]
     rows = [
         [j] + [r.rms[j] for r in results] for j in range(cfg.iterations + 1)
     ]
-    write_rows(out / "compare.csv", header, rows)
+    write_rows(ws.out / "compare.csv", header, rows)
     print("  ".join(f"{r.law_kind}: rms[-1]={fmt(r.rms[-1])}" for r in results))
-    return 0, {"q": ws.q, "laws": [r.law_kind for r in results], "traj": cfg.traj}
+    return {"q": ws.deleted.q, "laws": [r.law_kind for r in results], "traj": cfg.traj}, None
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
-    ws = _workspace(cfg)
+def cmd_sweep(ws: _Workspace):
+    cfg = ws.cfg
     count = int(round((cfg.phi_max - cfg.phi_min) / cfg.phi_step))
     grid = cfg.phi_min + cfg.phi_step * np.arange(count + 1)
     sweep = convergence.gain_sweep(ws.deleted, grid)
-    out = _outdir(cfg)
     write_rows(
-        out / "sweep.csv",
+        ws.out / "sweep.csv",
         ["phi", "sigma_max", "spectral_radius"],
         list(zip(sweep.gains, sweep.sigma_max, sweep.spectral_radius)),
     )
@@ -356,18 +351,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
         f"minimum sigma_max = {fmt(sweep.sigma_max[sweep.best_index])} "
         f"at phi = {fmt(sweep.best_gain)}"
     )
-    return 0, {"q": ws.q}
+    return {"q": ws.deleted.q}, None
 
 
-def cmd_sensitivity(cfg: ExperimentConfig) -> tuple[int, dict]:
-    ws = _workspace(cfg)
+def cmd_sensitivity(ws: _Workspace):
     surface = optimizer.sensitivity_map(ws.deleted)
-    out = _outdir(cfg)
-    write_matrix(out / matrix_filename("sensitivity", cfg.n, ws.q), surface.matrix)
+    write_matrix(ws.out / matrix_filename("sensitivity", ws.cfg.n, ws.deleted.q), surface.matrix)
     print(f"flagged columns: {surface.flagged_columns.tolist()}")
-    return 0, {"q": ws.q, "flagged_columns": surface.flagged_columns.tolist()}
+    return {"q": ws.deleted.q, "flagged_columns": surface.flagged_columns.tolist()}, None
 
 
+# Each handler returns (resolved meta fields, the error that stopped it or None).
 _COMMANDS = {
     "analyze": cmd_analyze,
     "optimize": cmd_optimize,
@@ -376,6 +370,7 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "sensitivity": cmd_sensitivity,
 }
+_DEFAULT_Q = {"analyze": 0}  # the undeleted spectrum tables; other commands use the plant's q
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -425,11 +420,13 @@ def main(argv=None) -> int:
                 raise ConfigError("config", f"invalid JSON: {exc}") from None
         if args.command == "optimize" and args.opt_iterations is None and args.iterations is not None:
             args.opt_iterations, args.iterations = args.iterations, None
-        cfg = build_config(args, file_config)
-        code, resolved = _COMMANDS[args.command](cfg)
-        meta = {"config": asdict(cfg), "resolved": resolved}
-        write_json(_outdir(cfg) / f"{args.command}_meta.json", meta)
-        return code
+        cfg, plant, preset = _configure(args, file_config)
+        ws = _workspace(cfg, plant, preset, _DEFAULT_Q.get(args.command))
+        resolved, stopped = _COMMANDS[args.command](ws)
+        write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})
+        if stopped is not None:
+            raise stopped
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -159,7 +159,8 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     """
     eigs = np.fft.fft(model.markov)
     mags = np.abs(eigs)
-    bad = np.where(mags < _SINGULAR_RTOL * mags.max())[0]
+    # fails closed: an all-zero or non-finite sequence marks every frequency bad
+    bad = np.where(~(mags > _SINGULAR_RTOL * mags.max()))[0]
     if bad.size:
         raise IllConditionedCirculantError(bad.tolist(), mags[bad].tolist())
     col = np.fft.ifft(1.0 / eigs)

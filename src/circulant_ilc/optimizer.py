@@ -103,15 +103,15 @@ class OptimizationTrace:
     """Per-iteration largest singular value and spectral radius, plus the result.
 
     sigma/rho include the starting point, so a clean run has iterations + 1
-    entries. diagnostic is set when the run stopped early on a degenerate
-    sigma_1, and the traces are truncated at the stop.
+    entries. diagnostic holds the error when the run stopped early on a
+    degenerate sigma_1, and the traces are truncated at the stop.
     """
 
     sigma: np.ndarray
     rho: np.ndarray
     gain: np.ndarray
     law: LearningLaw
-    diagnostic: str | None = None
+    diagnostic: DegenerateSingularValueError | None = None
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
         try:
             _check_gap(s, 0)
         except DegenerateSingularValueError as exc:
-            diagnostic = str(exc)
+            diagnostic = exc
             break
         grad = -np.outer(P.T @ U[:, 0], Vt[0])
         if config.reselect_region:

@@ -230,7 +230,6 @@ PRESETS = {
         "third_order",
         ContinuousPlant(first_order=(8.8,), second_order=((37.0, 0.5),)),
         q=1,
-        optimizer_iterations=1000,
     ),
     "fourth_order": Preset(
         "fourth_order",

@@ -3,6 +3,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,10 +52,9 @@ def test_analyze_deleted_reproduces_deleted_table(tmp_path):
     assert report["monotonic"] is False
 
 
-def test_optimize_degeneracy_exits_three(tmp_path, capsys, monkeypatch):
-    import numpy as np
-
-    from circulant_ilc import LearningLaw, OptimizationTrace
+def degenerate_stub(monkeypatch):
+    """Replace the CLI's descent with one stopped on a sigma_1 gap of 1.234e-09."""
+    from circulant_ilc import DegenerateSingularValueError, LearningLaw, OptimizationTrace
     from circulant_ilc import cli as cli_module
 
     stub = OptimizationTrace(
@@ -62,13 +62,31 @@ def test_optimize_degeneracy_exits_three(tmp_path, capsys, monkeypatch):
         rho=np.array([1.0]),
         gain=np.eye(51, 50),
         law=LearningLaw(np.eye(51, 50), "optimized_inverse_circulant", 1),
-        diagnostic="singular value 0 is degenerate: test stub",
+        diagnostic=DegenerateSingularValueError(0, 1.234e-09, 1.0),
     )
     monkeypatch.setattr(cli_module, "_optimize", lambda ws: stub)
+
+
+def test_optimize_degeneracy_exits_three(tmp_path, capsys, monkeypatch):
+    degenerate_stub(monkeypatch)
     assert run(["optimize", "--out", tmp_path]) == 3
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical degeneracy: ")
+    assert "1.234e-09" in err
     meta = json.loads((tmp_path / "optimize_meta.json").read_text())
     assert meta["resolved"] == {"q": 1, "reselect_region": False}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+def test_optimized_law_degeneracy_reports_true_gap(tmp_path, capsys, monkeypatch, command):
+    degenerate_stub(monkeypatch)
+    args = [command, "--law", "optimized_inverse_circulant", "--out", tmp_path]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical degeneracy: ")
+    assert "gap 1.234e-09" in err
+    assert not (tmp_path / f"{command}_meta.json").exists()
 
 
 def test_analyze_sixth_power(tmp_path):
@@ -262,6 +280,75 @@ def test_sweep_grid_is_bounded(tmp_path, capsys):
     assert build_config(None, {"phi_min": 0, "phi_max": 99_999, "phi_step": 1}).phi_max == 99_999
     with pytest.raises(ConfigError, match="phi_step"):
         build_config(None, {"phi_min": 0, "phi_max": 100_000, "phi_step": 1})
+
+
+@pytest.mark.parametrize(
+    "field, accepted, rejected",
+    [
+        ("n", 4096, 4097),                          # 4096**2 = 2**24 lifted entries
+        ("iterations", 328_964, 328_965),           # (iterations + 1) * 51 entries
+        ("opt_iterations", 2**24 - 1, 2**24),       # iterations + 1 trace entries
+        ("power", 6450, 6451),                      # power * 51**2 entries
+    ],
+)
+def test_work_fields_are_bounded(field, accepted, rejected):
+    # configuration only: the accepted maxima are never run
+    assert getattr(build_config(None, {field: accepted}), field) == accepted
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        build_config(None, {field: rejected})
+
+
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("iterations", ["simulate", "--iterations", 1_000_000_000]),
+        ("opt_iterations", ["optimize", "--opt-iterations", 2_000_000_000]),
+        ("power", ["analyze", "--law", "accelerated", "--power", 100_000_000]),
+        ("n", ["analyze", "--n", 200_000]),
+    ],
+)
+def test_oversized_work_exits_two(tmp_path, capsys, field, args):
+    # each used to end in an allocation error or to run for minutes
+    out = tmp_path / "out"
+    assert run([*args, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--hz", 1e300], ["--hz", 1e-300], ["--plant", {"first_order": [1e308]}]],
+    ids=["zero_markov", "nan_markov_hz", "nan_markov_pole"],
+)
+def test_degenerate_markov_sequence_exits_three(tmp_path, capsys, args):
+    # all-zero or NaN Markov parameters used to pass the circulant inverse and
+    # end in an SVD that did not converge
+    if isinstance(args[1], dict):
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps(args[1]))
+        args = [args[0], plant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 1e-300 Hz aliases every pole
+        assert run(["analyze", *args, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical degeneracy: circulant inverse is ill-conditioned")
+    assert err.count("\n") == 1
+
+
+def test_plant_file_is_read_once(tmp_path, monkeypatch):
+    # one read per run: the file cannot change between validation and use
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"first_order": [8.8], "second_order": [], "N": 12}))
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert run(["analyze", "--plant", path, "--out", tmp_path / "out"]) == 0
+    assert reads.count(path) == 1
 
 
 def test_plant_spec_file(tmp_path):

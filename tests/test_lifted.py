@@ -183,6 +183,14 @@ def test_circulant_inverse_reports_singular_frequency():
     assert info.value.indices == [1, 3]
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+def test_circulant_inverse_fails_closed_on_degenerate_sequence(value):
+    # a relative singularity test is vacuous when the largest magnitude is 0 or NaN
+    with pytest.raises(IllConditionedCirculantError) as info:
+        circulant_inverse(fake_model([value, 0.0, 0.0, 0.0]))
+    assert info.value.indices == [0, 1, 2, 3]
+
+
 def test_delete_zero_steps_is_identity(third):
     dm = delete_initial_steps(third.model, third.inverse, 0)
     assert np.array_equal(dm.toeplitz, third.model.toeplitz)
