@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSingularValueError,
     DivergedRunError,
     IllConditionedCirculantError,
+    NonFiniteSamplingError,
     RankDeficientPlantError,
 )
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
@@ -434,6 +435,7 @@ def main(argv=None) -> int:
         DegenerateSingularValueError,
         DivergedRunError,
         IllConditionedCirculantError,
+        NonFiniteSamplingError,
         RankDeficientPlantError,
     ) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)

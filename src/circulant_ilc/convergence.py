@@ -73,19 +73,75 @@ class GainSweep:
 # A closed-form spectral radius is accepted when the first-order error bound
 # of every eigenvalue that can set it is below this fraction of the radius.
 _RHO_BOUND_RTOL = 1e-12
+# sigma_max^2 is certified when theta (1 + _SIGMA_MARGIN) I - A^T A has a
+# Cholesky factor, theta being a Rayleigh quotient from a Krylov space of at
+# most _KRYLOV_STEPS steps.
+_SIGMA_MARGIN = 1e-13
+_KRYLOV_STEPS = 8
+_EPS = np.finfo(float).eps
 
 
 def _eigen_condition(base):
     """Eigenvalues of `base` and their condition numbers ||x|| ||y|| / |y^H x|
-    (inf where that is not a finite number)."""
-    mu, left, right = scipy.linalg.eig(base, left=True, right=True)
-    # Column by column, so no temporary as large as the eigenvector arrays.
+    (inf where that is not a finite number).
+
+    LAPACK's dgeev returns the eigenvectors real: a conjugate pair j, j + 1
+    stores x = vr[:, j] + i vr[:, j + 1] and its conjugate, which share one
+    condition number, so no complex copy of either eigenvector array is made.
+    """
+    lapack = scipy.linalg.lapack
+    work, _ = lapack.dgeev_lwork(base.shape[0], compute_vl=1, compute_vr=1)
+    wr, wi, left, right, info = lapack.dgeev(np.asarray_chkfinite(base), lwork=int(work))
+    if info != 0:
+        raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
+    cond = np.empty(wr.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.array([
-            np.linalg.norm(y) * np.linalg.norm(x) / abs(np.vdot(y, x))
-            for y, x in zip(left.T, right.T)
-        ])
-    return mu, np.where(np.isnan(cond), np.inf, cond)
+        for j in np.flatnonzero(wi >= 0):  # a real eigenvalue or the first of a pair
+            pair = int(wi[j] > 0)
+            y, x = left[:, j], right[:, j]
+            if pair:
+                y, x = y + 1j * left[:, j + 1], x + 1j * right[:, j + 1]
+            cond[j : j + 1 + pair] = np.linalg.norm(y) * np.linalg.norm(x) / abs(np.vdot(y, x))
+    return wr + 1j * wi, np.where(np.isnan(cond), np.inf, cond)
+
+
+def _orthogonalize(w, Q):
+    """Remove from w, in place, its part in the span of the orthonormal rows
+    of Q, twice ("twice is enough": Parlett, The Symmetric Eigenvalue
+    Problem, on Gram-Schmidt); return the norm of what is left."""
+    for _ in range(2):
+        w -= Q.T @ (Q @ w)
+    return np.sqrt(w @ w)
+
+
+def _top_ritz_vector(G, start):
+    """Top Ritz vector of the symmetric G from a Lanczos basis of
+    min(_KRYLOV_STEPS, n) vectors grown from `start`.
+
+    A Krylov space that becomes invariant to round-off, as the span of an
+    exact eigenvector does, goes on from a fixed pseudo-random vector with
+    zero coupling, so it can still reach the top eigenvector.
+    """
+    n = G.shape[0]
+    steps = min(_KRYLOV_STEPS, n)
+    Q = np.empty((steps, n))  # basis vectors as rows
+    alpha, beta = np.empty(steps), np.zeros(max(steps - 1, 1))  # dstev takes len(beta) >= 1
+    Q[0] = start / np.sqrt(start @ start)
+    for k in range(steps):
+        w = G @ Q[k]
+        alpha[k] = Q[k] @ w
+        if k + 1 == steps:
+            break
+        scale = np.sqrt(w @ w)
+        norm = _orthogonalize(w, Q[: k + 1])
+        if norm > n * _EPS * scale:
+            beta[k] = norm
+        else:
+            w = np.random.default_rng(k).standard_normal(n)
+            norm = _orthogonalize(w, Q[: k + 1])
+        Q[k + 1] = w / norm
+    _, y, _ = scipy.linalg.lapack.dstev(alpha, beta)
+    return y[:, -1] @ Q
 
 
 def _spectral_radius(A, lam_abs, bound):
@@ -106,7 +162,17 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     spectral radius wherever the first-order eigenvalue bound
     kappa_i eps (1 + |phi| ||B||_2) (Golub & Van Loan, Matrix Computations,
     7.2.2) certifies it; elsewhere the dense eigenvalues of A are computed.
-    sigma_max is the square root of the top eigenvalue of A^T A.
+
+    sigma_max is the square root of the top eigenvalue lambda of G = A^T A.
+    A Krylov space of G grown from the previous gain's top vector (ones at
+    the first gain) gives a Ritz vector x, and its Rayleigh quotient theta = x^T G x / x^T x is at
+    most lambda (a raw Ritz value need not be once the basis loses
+    orthogonality). If theta (1 + m) I - G, m = _SIGMA_MARGIN, has a Cholesky
+    factor, it is positive definite up to a backward error of order n eps
+    times its norm, which is at most theta (1 + m) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10): so lambda < theta (1 + m + c n
+    eps), and sqrt(theta) has a relative error of about m / 2. Where the
+    factorization fails, the dense eigenvalues of G are computed.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
@@ -114,12 +180,21 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     base = deleted.toeplitz @ deleted.circulant_inverse
     eye = np.eye(base.shape[0])
     mu, cond = _eigen_condition(base)
-    scale = np.finfo(float).eps * cond
+    scale = _EPS * cond
     norm = np.linalg.norm(base, 2)
     sigma = np.empty(gains.size)
     rho = np.empty(gains.size)
+    x = np.ones(base.shape[0])
     for i, phi in enumerate(gains):
         A = eye - phi * base
-        sigma[i] = np.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0))
+        G = A.T @ A
+        x = _top_ritz_vector(G, x)
+        theta = (x @ (G @ x)) / (x @ x)
+        # OpenBLAS factors a matrix of NaNs without complaint: a non-finite
+        # theta is never certified
+        _, info = scipy.linalg.lapack.dpotrf(theta * (1.0 + _SIGMA_MARGIN) * eye - G, clean=False)
+        if info != 0 or not np.isfinite(theta):
+            theta = np.linalg.eigvalsh(G)[-1]
+        sigma[i] = np.sqrt(max(theta, 0.0))
         rho[i] = _spectral_radius(A, np.abs(1.0 - phi * mu), scale * (1.0 + abs(phi) * norm))
     return GainSweep(gains=gains, sigma_max=sigma, spectral_radius=rho)

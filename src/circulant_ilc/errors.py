@@ -10,15 +10,32 @@ class ConfigError(ValueError):
 
 
 class IllConditionedCirculantError(RuntimeError):
-    """Circulant matrix is numerically singular at one or more frequencies."""
+    """Circulant matrix is numerically singular at one or more frequencies.
+
+    indices and magnitudes hold every bad frequency; the message names the
+    count and the first few.
+    """
+
+    SHOWN = 5
 
     def __init__(self, indices, magnitudes):
         self.indices = list(indices)
         self.magnitudes = list(magnitudes)
+        more = ", ..." if len(self.indices) > self.SHOWN else ""
+        shown = ", ".join(str(i) for i in self.indices[: self.SHOWN])
+        mags = ", ".join(f"{m:.3e}" for m in self.magnitudes[: self.SHOWN])
         super().__init__(
-            "circulant inverse is ill-conditioned at frequency indices "
-            f"{self.indices} (eigenvalue magnitudes {self.magnitudes})"
+            f"circulant inverse is ill-conditioned at {len(self.indices)} frequency "
+            f"indices [{shown}{more}] (eigenvalue magnitudes [{mags}{more}])"
         )
+
+
+class NonFiniteSamplingError(ArithmeticError):
+    """Zero-order-hold sampling overflowed: the sampled plant is not finite."""
+
+    def __init__(self, period):
+        self.period = period
+        super().__init__(f"zero-order-hold sampling at period {period:.6g} s is not finite")
 
 
 class DegenerateSingularValueError(RuntimeError):

@@ -138,7 +138,7 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     off = PE - np.diag(np.diag(PE))
     diagonal = np.diag(PE).copy()
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
-    transfer = np.array([frequency_response(model.plant, z) for z in zs])
+    transfer = frequency_response(model.plant, zs)
     aligned = np.abs(diagonal - zs * transfer)
     tail = np.linalg.norm(np.linalg.matrix_power(model.plant.A, n - 1), 2)
     return DiagonalizationReport(

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .errors import NonFiniteSamplingError
+
 __all__ = [
     "ContinuousPlant",
     "ContinuousStateSpace",
@@ -149,6 +151,7 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     A = exp(Ac T) and B = (integral of exp(Ac t) dt) Bc come out of one
     exponential of the augmented matrix [[Ac, Bc], [0, 0]]. A pole whose
     imaginary part reaches pi/T aliases onto a slower one: a RuntimeWarning.
+    An exponential that overflows raises NonFiniteSamplingError.
     """
     if period <= 0:
         raise ValueError("sample period must be positive")
@@ -162,6 +165,8 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     M[:n, :n] = css.A
     M[:n, n:] = css.B
     E = scipy.linalg.expm(M * period)
+    if not np.all(np.isfinite(E)):
+        raise NonFiniteSamplingError(period)
     return DiscretePlant(E[:n, :n], E[:n, n:], css.C, period)
 
 
@@ -177,15 +182,24 @@ def markov_parameters(plant: DiscretePlant, count: int) -> np.ndarray:
     return out
 
 
-def frequency_response(plant: DiscretePlant, z: complex) -> complex:
-    """Discrete transfer function C (zI - A)^-1 B at the point z."""
+def frequency_response(plant: DiscretePlant, z):
+    """Discrete transfer function C (zI - A)^-1 B at the point z, or at every
+    point of an array z (one stacked solve; an array of the same shape)."""
     n = plant.order
-    M = z * np.eye(n) - plant.A
+    points = np.asarray(z, dtype=complex)
+    M = points[..., None, None] * np.eye(n) - plant.A
+    B = plant.B.astype(complex)
     try:
-        w = np.linalg.solve(M, plant.B.astype(complex))
+        w = np.linalg.solve(M, B)
     except np.linalg.LinAlgError:
-        raise ValueError(f"z = {z} is an eigenvalue of A; response undefined") from None
-    return complex((plant.C @ w)[0, 0])
+        for point, Mk in zip(points.flat if points.ndim else [z], M.reshape(-1, n, n)):
+            try:
+                np.linalg.solve(Mk, B)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"z = {point} is an eigenvalue of A; response undefined") from None
+        raise
+    response = (plant.C @ w)[..., 0, 0]
+    return complex(response) if points.ndim == 0 else response
 
 
 def sampling_zeros(plant: DiscretePlant) -> np.ndarray:

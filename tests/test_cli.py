@@ -315,14 +315,22 @@ def test_oversized_work_exits_two(tmp_path, capsys, field, args):
     assert not out.exists()
 
 
+CIRCULANT = "circulant inverse is ill-conditioned"
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["--hz", 1e300], ["--hz", 1e-300], ["--plant", {"first_order": [1e308]}]],
+    "args, message",
+    [
+        (["--hz", 1e300], CIRCULANT),
+        (["--hz", 1e-300], "zero-order-hold sampling at period 1e+300 s is not finite"),
+        (["--plant", {"first_order": [1e308]}], "zero-order-hold sampling at period 0.02 s"),
+    ],
     ids=["zero_markov", "nan_markov_hz", "nan_markov_pole"],
 )
-def test_degenerate_markov_sequence_exits_three(tmp_path, capsys, args):
+def test_degenerate_markov_sequence_exits_three(tmp_path, capsys, args, message):
     # all-zero or NaN Markov parameters used to pass the circulant inverse and
-    # end in an SVD that did not converge
+    # end in an SVD that did not converge; an overflowing ZOH exponential is
+    # named as such, not blamed on the circulant
     if isinstance(args[1], dict):
         plant = tmp_path / "plant.json"
         plant.write_text(json.dumps(args[1]))
@@ -331,8 +339,16 @@ def test_degenerate_markov_sequence_exits_three(tmp_path, capsys, args):
         warnings.simplefilter("ignore", RuntimeWarning)  # 1e-300 Hz aliases every pole
         assert run(["analyze", *args, "--out", tmp_path / "out"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical degeneracy: circulant inverse is ill-conditioned")
+    assert err.startswith(f"numerical degeneracy: {message}")
     assert err.count("\n") == 1
+
+
+def test_ill_conditioned_circulant_line_is_short(tmp_path, capsys):
+    # every one of the 1024 bad frequencies used to be listed: a 10,260-byte line
+    assert run(["analyze", "--hz", 1e300, "--n", 1024, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert err.startswith(f"numerical degeneracy: {CIRCULANT} at 1024 frequency indices")
 
 
 def test_plant_file_is_read_once(tmp_path, monkeypatch):

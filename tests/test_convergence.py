@@ -173,8 +173,43 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     assert_allclose(sweep.spectral_radius, exact, rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gain_sweep_overflow_is_never_certified(third):
+    # A = I - 1e200 B overflows, so theta is NaN, and a Cholesky of NaNs
+    # succeeds; the dense fallback rejects the matrix instead of a silent NaN
+    with pytest.raises(np.linalg.LinAlgError):
+        gain_sweep(third.deleted(1), [1e200])
+
+
 def test_gain_sweep_exact_zero_map():
     zero = DeletedModel(q=0, toeplitz=np.array([[1.0]]), circulant_inverse=np.array([[1.0]]))
     sweep = gain_sweep(zero, [1.0])
     assert sweep.sigma_max[0] == 0.0
     assert sweep.spectral_radius[0] == 0.0
+
+
+def test_gain_sweep_dense_eigvalsh_only_where_certificate_fails(monkeypatch):
+    calls = []
+
+    def counting(name):
+        dense = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append(a.shape)
+            return dense(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counting("eigvalsh")
+    counting("eigh")
+    # theta = 0 cannot certify: 0 I - A^T A has no Cholesky factor
+    zero = DeletedModel(q=0, toeplitz=np.eye(2), circulant_inverse=np.eye(2))
+    sweep = gain_sweep(zero, [1.0, 1.0, 1.0])
+    assert calls == [(2, 2)] * 3
+    assert np.array_equal(sweep.sigma_max, np.zeros(3))
+    calls.clear()
+    normal = DeletedModel(q=0, toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
+    sweep = gain_sweep(normal, GRID)
+    assert calls == []
+    exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
+    assert_allclose(sweep.sigma_max, exact, rtol=1e-15)

@@ -4,6 +4,7 @@ The independent oracle for sampling accuracy is adaptive ODE integration of
 the continuous realization under staircase inputs.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from circulant_ilc import (
     ContinuousPlant,
     ContinuousStateSpace,
     DiscretePlant,
+    NonFiniteSamplingError,
     discretize_zoh,
     frequency_response,
     markov_parameters,
@@ -120,6 +122,20 @@ def test_zoh_warns_when_a_pole_aliases(benches):
             discretize_zoh(bench.css, T)
 
 
+@pytest.mark.parametrize(
+    "plant, period",
+    [(ContinuousPlant(first_order=(8.8,)), 1e300), (ContinuousPlant(first_order=(1e308,)), T)],
+    ids=["period_1e300", "pole_1e308"],
+)
+def test_zoh_rejects_non_finite_exponential(plant, period):
+    # the matrix exponential overflows to NaN; it used to be returned as the plant
+    css = realize(plant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteSamplingError, match=re.escape(f"{period:.6g} s")):
+            discretize_zoh(css, period)
+
+
 def test_zoh_rejects_bad_period(third):
     with pytest.raises(ValueError):
         discretize_zoh(third.css, 0.0)
@@ -189,8 +205,20 @@ def test_frequency_response_dc_gain_preserved(benches):
 
 def test_frequency_response_rejects_eigenvalue():
     plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"z = 0\.5 is an eigenvalue"):
         frequency_response(plant, 0.5)
+    with pytest.raises(ValueError, match=r"z = \(0\.5\+0j\) is an eigenvalue"):
+        frequency_response(plant, np.array([1.0, 0.5, -1.0]))
+
+
+def test_frequency_response_array_matches_scalar_loop(benches):
+    # one stacked solve gives the bits of one solve per point
+    zs = np.exp(2j * np.pi / 51) ** np.arange(51)
+    for bench in benches.values():
+        loop = np.array([frequency_response(bench.plant, z) for z in zs])
+        assert np.array_equal(frequency_response(bench.plant, zs), loop)
+        grid = zs.reshape(3, 17)
+        assert np.array_equal(frequency_response(bench.plant, grid), loop.reshape(3, 17))
 
 
 def test_sampling_zero_counts(benches):
