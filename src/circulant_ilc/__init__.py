@@ -14,6 +14,7 @@ from .errors import (
     DegenerateSingularValueError,
     DivergedRunError,
     IllConditionedCirculantError,
+    NonFiniteGainError,
     NonFiniteSamplingError,
     RankDeficientPlantError,
 )

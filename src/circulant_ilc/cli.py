@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSingularValueError,
     DivergedRunError,
     IllConditionedCirculantError,
+    NonFiniteGainError,
     NonFiniteSamplingError,
     RankDeficientPlantError,
 )
@@ -435,6 +436,7 @@ def main(argv=None) -> int:
         DegenerateSingularValueError,
         DivergedRunError,
         IllConditionedCirculantError,
+        NonFiniteGainError,
         NonFiniteSamplingError,
         RankDeficientPlantError,
     ) as exc:

@@ -1,10 +1,12 @@
 """Spectral analysis of error propagation matrices and overall-gain sweeps."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .errors import NonFiniteGainError
 from .lifted import DeletedModel
 
 __all__ = ["ConvergenceReport", "GainSweep", "analyze", "gain_sweep"]
@@ -78,7 +80,12 @@ _RHO_BOUND_RTOL = 1e-12
 # most _KRYLOV_STEPS steps.
 _SIGMA_MARGIN = 1e-13
 _KRYLOV_STEPS = 8
+# A^T A is taken from the Gram pair where (1 + |phi| ||B||_2)^2 is at most
+# this multiple of theta (see gain_sweep).
+_PAIR_GROWTH = 4.0
 _EPS = np.finfo(float).eps
+_nrm2 = scipy.linalg.blas.dnrm2  # scaled: no overflow where w @ w would
+_dstev = scipy.linalg.lapack.dstev
 
 
 def _eigen_condition(base):
@@ -111,47 +118,83 @@ def _orthogonalize(w, Q):
     Problem, on Gram-Schmidt); return the norm of what is left."""
     for _ in range(2):
         w -= Q.T @ (Q @ w)
-    return np.sqrt(w @ w)
+    return _nrm2(w)
 
 
 def _top_ritz_vector(G, start):
-    """Top Ritz vector of the symmetric G from a Lanczos basis of
+    """Top Ritz vector of the symmetric G from a Lanczos basis of at most
     min(_KRYLOV_STEPS, n) vectors grown from `start`.
+
+    The basis stops at the first step k whose Ritz residual estimate
+    beta_k |y_k| (y the top eigenvector of the tridiagonal) is at most
+    sqrt(eps) times the top Ritz value: the Ritz value then errs by about the
+    residual squared over the gap to the next eigenvalue (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13), about eps times the top
+    eigenvalue wherever that gap is of its order. (At sqrt(_SIGMA_MARGIN)
+    that error would be the size of the Cholesky margin itself, and the
+    certificate would fail at gains with a narrower gap.)
 
     A Krylov space that becomes invariant to round-off, as the span of an
     exact eigenvector does, goes on from a fixed pseudo-random vector with
-    zero coupling, so it can still reach the top eigenvector.
+    zero coupling, so it can still reach the top eigenvector. Its zero
+    residual says nothing of the rest of the spectrum, so from then on only
+    the step limit ends the basis.
     """
     n = G.shape[0]
     steps = min(_KRYLOV_STEPS, n)
+    tol = np.sqrt(_EPS)
     Q = np.empty((steps, n))  # basis vectors as rows
-    alpha, beta = np.empty(steps), np.zeros(max(steps - 1, 1))  # dstev takes len(beta) >= 1
-    Q[0] = start / np.sqrt(start @ start)
+    alpha, beta = np.empty(steps), np.zeros(steps)
+    Q[0] = start / _nrm2(start)
+    invariant = False
     for k in range(steps):
         w = G @ Q[k]
         alpha[k] = Q[k] @ w
-        if k + 1 == steps:
-            break
-        scale = np.sqrt(w @ w)
-        norm = _orthogonalize(w, Q[: k + 1])
-        if norm > n * _EPS * scale:
-            beta[k] = norm
-        else:
-            w = np.random.default_rng(k).standard_normal(n)
+        if k + 1 < steps:
+            scale = _nrm2(w)
             norm = _orthogonalize(w, Q[: k + 1])
+            if norm > n * _EPS * scale:
+                beta[k] = norm
+            else:
+                invariant = True
+                w = np.random.default_rng(k).standard_normal(n)
+                norm = _orthogonalize(w, Q[: k + 1])
+        ritz, y, _ = _dstev(alpha[: k + 1], beta[: max(k, 1)])  # dstev takes len(e) >= 1
+        if k + 1 == steps or not invariant and beta[k] * abs(y[k, -1]) <= tol * ritz[-1]:
+            return y[:, -1] @ Q[: k + 1]
         Q[k + 1] = w / norm
-    _, y, _ = scipy.linalg.lapack.dstev(alpha, beta)
-    return y[:, -1] @ Q
 
 
-def _spectral_radius(A, lam_abs, bound):
+def _top_rayleigh(G, x):
+    """Rayleigh quotient of the symmetric G at its top Ritz vector grown from
+    x, and that vector."""
+    x = _top_ritz_vector(G, x)
+    return (x @ (G @ x)) / (x @ x), x
+
+
+def _certified(G, theta, work):
+    """Whether theta (1 + _SIGMA_MARGIN) I - G has a Cholesky factor, which
+    bounds the top eigenvalue of the symmetric G by theta (1 + _SIGMA_MARGIN)
+    up to a backward error of order n eps theta. `work` is overwritten.
+
+    OpenBLAS factors a matrix of NaNs without complaint: a non-finite theta
+    is never certified.
+    """
+    np.negative(G, out=work)
+    work.reshape(-1)[:: work.shape[0] + 1] += theta * (1.0 + _SIGMA_MARGIN)
+    # work is symmetric, so its transpose is the same matrix in Fortran order
+    _, info = scipy.linalg.lapack.dpotrf(work.T, overwrite_a=True, clean=False)
+    return info == 0 and np.isfinite(theta)
+
+
+def _closed_form_radius(lam_abs, bound):
     """max(lam_abs) when every eigenvalue that can set it has an error bound
-    within _RHO_BOUND_RTOL of it; else the dense spectral radius of A."""
+    within _RHO_BOUND_RTOL of it; else None."""
     rho = lam_abs.max()
     candidates = lam_abs + bound >= rho - bound.max()
     if rho > 0 and bound[candidates].max() <= _RHO_BOUND_RTOL * rho:
         return rho
-    return np.max(np.abs(np.linalg.eigvals(A)))
+    return None
 
 
 def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
@@ -164,37 +207,64 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     7.2.2) certifies it; elsewhere the dense eigenvalues of A are computed.
 
     sigma_max is the square root of the top eigenvalue lambda of G = A^T A.
+    G = I - phi S + phi^2 H is built in O(n^2) from the Gram pair H = B^T B,
+    S = B + B^T, formed once per sweep. Its rounding error is of order
+    n eps (1 + |phi| ||B||_2)^2 rather than the n eps ||A||_2^2 = n eps lambda
+    of a formed A^T A (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). So the pair is used only where
+    (1 + |phi| ||B||_2)^2 <= 4 theta (_PAIR_GROWTH): as theta <= lambda, its
+    error is then at most four times the one a formed A^T A carries anyway.
+    Where cancellation in A makes lambda smaller, A and A^T A are formed.
+    ||B||_2 is sqrt(theta_H (1 + m)), an upper bound certified on H as below.
+    A gain whose phi^2 or (1 + |phi| ||B||_2)^2 overflows raises
+    NonFiniteGainError.
+
     A Krylov space of G grown from the previous gain's top vector (ones at
-    the first gain) gives a Ritz vector x, and its Rayleigh quotient theta = x^T G x / x^T x is at
-    most lambda (a raw Ritz value need not be once the basis loses
+    the first gain), stopped once its Ritz residual is small, gives a Ritz
+    vector x, and its Rayleigh quotient theta = x^T G x / x^T x is at most
+    lambda (a raw Ritz value need not be once the basis loses
     orthogonality). If theta (1 + m) I - G, m = _SIGMA_MARGIN, has a Cholesky
     factor, it is positive definite up to a backward error of order n eps
-    times its norm, which is at most theta (1 + m) (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10): so lambda < theta (1 + m + c n
-    eps), and sqrt(theta) has a relative error of about m / 2. Where the
-    factorization fails, the dense eigenvalues of G are computed.
+    times its norm, which is at most theta (1 + m) (Higham, ch. 10): so
+    lambda < theta (1 + m + c n eps), and sqrt(theta) has a relative error of
+    about m / 2. Where the factorization fails, the dense eigenvalues of G
+    are computed.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
     base = deleted.toeplitz @ deleted.circulant_inverse
-    eye = np.eye(base.shape[0])
+    n = base.shape[0]
+    eye = np.eye(n)
     mu, cond = _eigen_condition(base)
     scale = _EPS * cond
-    norm = np.linalg.norm(base, 2)
+    H, S = base.T @ base, base + base.T
+    G, work = np.empty((n, n)), np.empty((n, n))
+    theta, _ = _top_rayleigh(H, np.ones(n))
+    if not _certified(H, theta, work):
+        theta = np.linalg.eigvalsh(H)[-1]
+    norm = float(np.sqrt(theta * (1.0 + _SIGMA_MARGIN)))
     sigma = np.empty(gains.size)
     rho = np.empty(gains.size)
-    x = np.ones(base.shape[0])
-    for i, phi in enumerate(gains):
-        A = eye - phi * base
-        G = A.T @ A
-        x = _top_ritz_vector(G, x)
-        theta = (x @ (G @ x)) / (x @ x)
-        # OpenBLAS factors a matrix of NaNs without complaint: a non-finite
-        # theta is never certified
-        _, info = scipy.linalg.lapack.dpotrf(theta * (1.0 + _SIGMA_MARGIN) * eye - G, clean=False)
-        if info != 0 or not np.isfinite(theta):
+    x = np.ones(n)
+    for i, phi in enumerate(gains.tolist()):
+        reach = 1.0 + abs(phi) * norm  # Python floats overflow to inf silently
+        if not math.isfinite(phi * phi + reach * reach):
+            raise NonFiniteGainError(phi)
+        np.multiply(H, phi * phi, out=G)
+        np.multiply(S, phi, out=work)
+        G -= work
+        G.reshape(-1)[:: n + 1] += 1.0
+        theta, x = _top_rayleigh(G, x)
+        if reach * reach > _PAIR_GROWTH * theta:
+            A = eye - phi * base
+            np.matmul(A.T, A, out=G)
+            theta, x = _top_rayleigh(G, x)
+        if not _certified(G, theta, work):
             theta = np.linalg.eigvalsh(G)[-1]
         sigma[i] = np.sqrt(max(theta, 0.0))
-        rho[i] = _spectral_radius(A, np.abs(1.0 - phi * mu), scale * (1.0 + abs(phi) * norm))
+        radius = _closed_form_radius(np.abs(1.0 - phi * mu), scale * reach)
+        if radius is None:
+            radius = np.max(np.abs(np.linalg.eigvals(eye - phi * base)))
+        rho[i] = radius
     return GainSweep(gains=gains, sigma_max=sigma, spectral_radius=rho)

@@ -38,6 +38,14 @@ class NonFiniteSamplingError(ArithmeticError):
         super().__init__(f"zero-order-hold sampling at period {period:.6g} s is not finite")
 
 
+class NonFiniteGainError(ArithmeticError):
+    """A gain sweep overflowed: (I - phi B)^T (I - phi B) is not finite at this gain."""
+
+    def __init__(self, gain):
+        self.gain = gain
+        super().__init__(f"gain sweep overflows at phi = {gain:.6g}: sigma_max^2 is not finite")
+
+
 class DegenerateSingularValueError(RuntimeError):
     """Requested singular value is (numerically) repeated; its derivative is undefined."""
 

@@ -225,6 +225,33 @@ def test_sweep_minimum_at_zero_gain(tmp_path, capsys):
     assert "at phi = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gain", [1e160, 1e200])
+def test_sweep_overflowing_gain_exits_three(tmp_path, capsys, gain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported, not warned about
+        code = run(["sweep", "--phi-min", gain, "--phi-max", gain, "--phi-step", 1,
+                    "--out", tmp_path])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical degeneracy: ")
+    assert f"phi = {gain:.6g}" in err
+    assert err.count("\n") == 1
+
+
+def test_sweep_huge_finite_gain_is_quiet(tmp_path, capsys, third):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["sweep", "--phi-min", 1e100, "--phi-max", 1e100, "--phi-step", 1,
+                    "--out", tmp_path])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    deleted = third.deleted(1)
+    base = deleted.toeplitz @ deleted.circulant_inverse
+    dense = np.linalg.svd(np.eye(base.shape[0]) - 1e100 * base, compute_uv=False)[0]
+    assert float(rows[0][1]) == pytest.approx(dense, rel=1e-12)
+
+
 def test_sensitivity_writes_surface_and_flags(tmp_path):
     assert run(["sensitivity", "--out", tmp_path]) == 0
     _, rows = read_csv(tmp_path / "sensitivity_N51_q1.csv")

@@ -15,6 +15,7 @@ from circulant_ilc import (
     DeletedModel,
     IllConditionedCirculantError,
     LiftedModel,
+    NonFiniteGainError,
     analyze,
     circulant_inverse,
     delete_initial_steps,
@@ -173,12 +174,26 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     assert_allclose(sweep.spectral_radius, exact, rtol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gain_sweep_overflow_is_never_certified(third):
-    # A = I - 1e200 B overflows, so theta is NaN, and a Cholesky of NaNs
-    # succeeds; the dense fallback rejects the matrix instead of a silent NaN
-    with pytest.raises(np.linalg.LinAlgError):
+    # (I - 1e200 B)^T (I - 1e200 B) overflows, and OpenBLAS factors a matrix
+    # of NaNs without complaint: the sweep must name the gain, never return a
+    # NaN sigma or warn
+    with pytest.raises(NonFiniteGainError, match=r"phi = 1e\+200"):
         gain_sweep(third.deleted(1), [1e200])
+
+
+def test_gain_sweep_forms_gram_where_the_pair_cancels(fourth):
+    # q = 49 of N = 51 leaves B = P_q Pc_inv_q within about 1.2e-7 of the
+    # identity: at phi = 1, sigma_max(I - B) is that small against
+    # 1 + |phi| ||B||_2 of about 2, so I - (B + B^T) + B^T B cancels far below
+    # its own rounding and only a formed A^T A is accurate
+    deleted = fourth.deleted(49)
+    base = deleted.toeplitz @ deleted.circulant_inverse
+    dense = np.linalg.svd(np.eye(base.shape[0]) - base, compute_uv=False)[0]
+    assert dense < 1e-6 * (1 + np.linalg.norm(base, 2))
+    sweep = gain_sweep(deleted, [1.0])
+    assert_allclose(sweep.sigma_max, [dense], rtol=1e-12, atol=0)
 
 
 def test_gain_sweep_exact_zero_map():
