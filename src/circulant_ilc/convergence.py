@@ -39,12 +39,33 @@ def _sorted_magnitudes(values):
 
 
 def analyze(matrix: np.ndarray) -> ConvergenceReport:
-    """Full singular and eigenvalue spectra, sorted by descending magnitude."""
+    """Full singular and eigenvalue spectra, sorted by descending magnitude.
+
+    A map E that is symmetric up to rounding, as I - P L is for the
+    contraction-mapping, quadratic-cost and partial-isometry laws, takes one
+    symmetric eigensolve instead of a dense SVD and a nonsymmetric one. E
+    differs from its symmetric part S = (E + E^T) / 2 by the skew part K. By
+    Weyl's inequality every singular value of E is within ||K||_2 of the
+    matching one of S, and by Bauer-Fike (S is normal) every eigenvalue is
+    too; for a symmetric S the singular values are the |eigenvalues|. So
+    where ||K||_F <= n eps ||E||_F, no larger than the normwise backward
+    error the nonsymmetric QR algorithm already commits (Golub & Van Loan,
+    Matrix Computations, 7.5.6 and 8.1), the sorted |eigvalsh(S)| is
+    returned as both spectra, and the spectral radius equals sigma_max.
+    Other maps, and any with a non-finite entry, take the dense SVD and
+    eigenvalues.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("error propagation matrix must be square")
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    eigen = _sorted_magnitudes(np.linalg.eigvals(matrix))
+    skew = 0.5 * (matrix - matrix.T)
+    # chained: also False for an infinite or NaN norm
+    if np.linalg.norm(skew) <= matrix.shape[0] * _EPS * np.linalg.norm(matrix) < np.inf:
+        eigen = _sorted_magnitudes(np.linalg.eigvalsh(0.5 * (matrix + matrix.T)))
+        singular = eigen.copy()
+    else:
+        singular = np.linalg.svd(matrix, compute_uv=False)
+        eigen = _sorted_magnitudes(np.linalg.eigvals(matrix))
     rho = float(eigen[0]) if eigen.size else 0.0
     return ConvergenceReport(
         singular_values=singular,
@@ -199,7 +220,8 @@ def _closed_form_radius(lam_abs, bound):
 
 def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     """Largest singular value and spectral radius of A = I - phi B, with
-    B = P_q Pc_inv_q, over a grid of overall gains phi.
+    B = P_q Pc_inv_q, over a grid of overall gains phi. At phi = 0, A = I
+    and both are 1 exactly.
 
     B is factored once: eig(A) = 1 - phi eig(B). The closed form gives the
     spectral radius wherever the first-order eigenvalue bound
@@ -219,8 +241,8 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     A gain whose phi^2 or (1 + |phi| ||B||_2)^2 overflows raises
     NonFiniteGainError.
 
-    A Krylov space of G grown from the previous gain's top vector (ones at
-    the first gain), stopped once its Ritz residual is small, gives a Ritz
+    A Krylov space of G grown from the previous nonzero gain's top vector
+    (ones at the first), stopped once its Ritz residual is small, gives a Ritz
     vector x, and its Rayleigh quotient theta = x^T G x / x^T x is at most
     lambda (a raw Ritz value need not be once the basis loses
     orthogonality). If theta (1 + m) I - G, m = _SIGMA_MARGIN, has a Cholesky
@@ -248,6 +270,9 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     rho = np.empty(gains.size)
     x = np.ones(n)
     for i, phi in enumerate(gains.tolist()):
+        if phi == 0.0:  # A = I exactly; x stays the warm start for the next gain
+            sigma[i] = rho[i] = 1.0
+            continue
         reach = 1.0 + abs(phi) * norm  # Python floats overflow to inf silently
         if not math.isfinite(phi * phi + reach * reach):
             raise NonFiniteGainError(phi)

@@ -6,6 +6,7 @@ acceptance suite re-checks them at the contract tolerances.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -16,18 +17,53 @@ from circulant_ilc import (
     IllConditionedCirculantError,
     LiftedModel,
     NonFiniteGainError,
+    RankDeficientPlantError,
+    accelerated_law,
     analyze,
     circulant_inverse,
+    contraction_mapping_law,
     delete_initial_steps,
     discretize_zoh,
     error_propagation,
     gain_sweep,
     inverse_circulant_law,
+    partial_isometry_law,
+    quadratic_cost_law,
     realize,
+    scaled_inverse_circulant_law,
 )
+from circulant_ilc import convergence
 from strategies import PROPERTY, T, horizons, sampled_plants
 
 GRID = np.round(np.arange(-1.0, 2.0 + 1e-9, 0.05), 10)  # criterion 4's grid
+EPS = np.finfo(float).eps
+# The laws whose I - P L is symmetric in exact arithmetic, as
+# (P, gain or weight) -> law; partial isometry takes no parameter.
+SYMMETRIC_LAWS = {
+    "contraction_mapping": contraction_mapping_law,
+    "quadratic_cost": quadratic_cost_law,
+    "partial_isometry": lambda P, _: partial_isometry_law(P),
+}
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of `module` to record its calls in a list per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(args[0]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def dense_spectra(E):
+    """Reference: dense svd and eigvals, sorted as analyze sorts them."""
+    mags = np.abs(np.linalg.eigvals(E))
+    return np.linalg.svd(E, compute_uv=False), mags[np.argsort(-mags, kind="stable")]
 
 
 def test_analyze_zero_matrix():
@@ -84,10 +120,99 @@ def test_second_singular_value_shrinks_with_powers(third):
     assert s6 < s3 < s1
 
 
+# --- the symmetric path of analyze against dense svd / eigvals ---------------
+
+
+def symmetric_law_map(P, kind, parameter=1.0):
+    """I - P L for one of SYMMETRIC_LAWS, or None where the law is undefined."""
+    try:
+        return error_propagation(P, SYMMETRIC_LAWS[kind](P, parameter))
+    except RankDeficientPlantError:
+        return None
+
+
+def test_symmetric_laws_report_rho_equal_to_sigma_max(benches):
+    # rho <= sigma_max always; at q = 0 the contraction and quadratic laws
+    # sit within rounding of 1, where a dense svd and eigvals disagreed on
+    # third_order (sigma_max 0.99999999999999967, rho 1.0000000000000036)
+    checked = 0
+    for bench in benches.values():
+        for q in (0, 1, 2):
+            for kind in SYMMETRIC_LAWS:
+                E = symmetric_law_map(bench.deleted(q).toeplitz, kind)
+                if E is None:
+                    continue
+                report = analyze(E)
+                assert report.spectral_radius == report.sigma_max, (bench.name, q, kind)
+                assert report.monotonic == report.converges, (bench.name, q, kind)
+                checked += 1
+    assert checked == 24  # partial isometry is undefined at q = 0 on every preset
+
+
+@PROPERTY
+@given(
+    sampled_plants(),
+    horizons,
+    st.sampled_from(sorted(SYMMETRIC_LAWS)),
+    st.floats(0.1, 10.0),
+    st.data(),
+)
+def test_property_symmetric_maps_match_dense(plant, n, kind, parameter, data):
+    q = data.draw(st.integers(0, n - 1), label="q")
+    E = symmetric_law_map(LiftedModel.build(plant, n).toeplitz[q:], kind, parameter)
+    if E is None:
+        return
+    report = analyze(E)
+    singular, eigen = dense_spectra(E)
+    atol = 2 * E.shape[0] * EPS * singular[0]
+    assert_allclose(report.singular_values, singular, rtol=0, atol=atol)
+    assert_allclose(report.eigenvalue_magnitudes, eigen, rtol=0, atol=atol)
+    assert report.sigma_max == pytest.approx(singular[0], rel=1e-12, abs=0)
+    assert report.spectral_radius == pytest.approx(eigen[0], rel=1e-12, abs=0)
+
+
+def test_analyze_routes_by_symmetry(monkeypatch, third):
+    dm = third.deleted(1)
+    rng = np.random.default_rng(12)
+    nonsymmetric = [
+        error_propagation(dm.toeplitz, inverse_circulant_law(dm)),
+        error_propagation(dm.toeplitz, accelerated_law(dm, 3)),
+        error_propagation(dm.toeplitz, scaled_inverse_circulant_law(dm, 0.5)),
+        rng.standard_normal((9, 9)),
+    ]
+    symmetric = [symmetric_law_map(dm.toeplitz, kind) for kind in SYMMETRIC_LAWS]
+    references = [dense_spectra(E) for E in nonsymmetric]
+    calls = count_calls(monkeypatch, np.linalg, ("svd", "eigvals", "eigvalsh"))
+    for E, (singular, eigen) in zip(nonsymmetric, references):
+        report = analyze(E)
+        # the dense path, bit for bit
+        assert np.array_equal(report.singular_values, singular)
+        assert np.array_equal(report.eigenvalue_magnitudes, eigen)
+    assert calls == {"svd": [E.shape for E in nonsymmetric],
+                     "eigvals": [E.shape for E in nonsymmetric], "eigvalsh": []}
+    calls["svd"].clear()
+    calls["eigvals"].clear()
+    for E in symmetric:
+        analyze(E)
+    assert calls == {"svd": [], "eigvals": [], "eigvalsh": [E.shape for E in symmetric]}
+
+
 def test_gain_sweep_identity_at_zero(third):
     sweep = gain_sweep(third.deleted(1), [0.0])
     assert sweep.sigma_max[0] == pytest.approx(1.0, abs=0)
     assert sweep.spectral_radius[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gain_sweep_zero_gain_skips_every_solve(monkeypatch, third):
+    # ||B||_2 takes one Krylov call and one Cholesky per sweep; phi = 0 adds none
+    ritz = count_calls(monkeypatch, convergence, ("_top_ritz_vector",))
+    dense = count_calls(monkeypatch, np.linalg, ("eigvals", "eigvalsh"))
+    chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    sweep = gain_sweep(third.deleted(1), [0.0, -0.0, 0.0])
+    assert len(ritz["_top_ritz_vector"]) == 1 and len(chol["dpotrf"]) == 1
+    assert dense == {"eigvals": [], "eigvalsh": []}
+    assert np.array_equal(sweep.sigma_max, np.ones(3))
+    assert np.array_equal(sweep.spectral_radius, np.ones(3))
 
 
 def test_gain_sweep_minimum_at_zero_gain(third):
@@ -157,12 +282,12 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
     # Eigenvalues 1 and 1 + 1e-8 with condition number about 1e16: the closed
-    # form cannot be certified at any phi.
+    # form cannot be certified at any phi but 0, where A = I.
     defective = DeletedModel(
         q=0, toeplitz=np.array([[1.0, 1e8], [0.0, 1.0 + 1e-8]]), circulant_inverse=np.eye(2)
     )
     sweep = gain_sweep(defective, GRID)
-    assert len(calls) == GRID.size
+    assert len(calls) == np.count_nonzero(GRID) == GRID.size - 1
     _, rho = dense_sweep(defective, GRID)
     assert np.array_equal(sweep.spectral_radius, rho)
     # A normal map: every eigenvalue is perfectly conditioned.
@@ -204,27 +329,16 @@ def test_gain_sweep_exact_zero_map():
 
 
 def test_gain_sweep_dense_eigvalsh_only_where_certificate_fails(monkeypatch):
-    calls = []
-
-    def counting(name):
-        dense = getattr(np.linalg, name)
-
-        def wrapper(a, *args, **kwargs):
-            calls.append(a.shape)
-            return dense(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, wrapper)
-
-    counting("eigvalsh")
-    counting("eigh")
+    calls = count_calls(monkeypatch, np.linalg, ("eigvalsh", "eigh"))
     # theta = 0 cannot certify: 0 I - A^T A has no Cholesky factor
     zero = DeletedModel(q=0, toeplitz=np.eye(2), circulant_inverse=np.eye(2))
     sweep = gain_sweep(zero, [1.0, 1.0, 1.0])
-    assert calls == [(2, 2)] * 3
+    assert calls["eigvalsh"] + calls["eigh"] == [(2, 2)] * 3
     assert np.array_equal(sweep.sigma_max, np.zeros(3))
-    calls.clear()
+    calls["eigvalsh"].clear()
+    calls["eigh"].clear()
     normal = DeletedModel(q=0, toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
     sweep = gain_sweep(normal, GRID)
-    assert calls == []
+    assert calls == {"eigvalsh": [], "eigh": []}
     exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
     assert_allclose(sweep.sigma_max, exact, rtol=1e-15)
