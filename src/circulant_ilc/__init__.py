@@ -16,6 +16,7 @@ from .errors import (
     IllConditionedCirculantError,
     NonFiniteGainError,
     NonFiniteSamplingError,
+    NumericalDegeneracyError,
     RankDeficientPlantError,
 )
 from .laws import (

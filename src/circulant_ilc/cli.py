@@ -4,12 +4,11 @@ Commands: analyze, optimize, simulate, compare, sweep, sensitivity. Each
 reads an optional JSON config plus flag overrides (flags win), runs the
 experiment, and writes CSV artifacts plus a metadata JSON that re-parses to
 the same configuration. Exit codes: 0 success, 2 configuration error,
-3 numerical degeneracy.
+3 numerical degeneracy (any NumericalDegeneracyError).
 """
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -17,15 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, laws, optimizer, simulation
-from .errors import (
-    ConfigError,
-    DegenerateSingularValueError,
-    DivergedRunError,
-    IllConditionedCirculantError,
-    NonFiniteGainError,
-    NonFiniteSamplingError,
-    RankDeficientPlantError,
-)
+from .errors import ConfigError, NumericalDegeneracyError
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, Preset, discretize_zoh, realize
@@ -67,13 +58,24 @@ class ExperimentConfig:
 def _parse_plant_dict(spec):
     if not isinstance(spec, dict):
         raise ConfigError("plant", f"expected a JSON object, got {type(spec).__name__}")
+    unknown = set(spec) - {"first_order", "second_order", "sample_hz", "N"}
+    if unknown:
+        raise ConfigError("plant", f"unknown plant field {sorted(unknown)[0]!r}")
     try:
         first = tuple(spec.get("first_order", ()))
         second = tuple((s["omega"], s["zeta"]) for s in spec.get("second_order", ()))
         plant = ContinuousPlant(first_order=first, second_order=second)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError("plant", str(exc)) from None
     return plant, spec.get("sample_hz"), spec.get("N")
+
+
+def _read_json(field, source):
+    """The JSON value in file `source`; an unreadable or invalid file is a ConfigError."""
+    try:
+        return json.loads(Path(source).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+        raise ConfigError(field, f"cannot read JSON from {source!r}: {exc}") from None
 
 
 def _resolve_plant(source):
@@ -82,14 +84,9 @@ def _resolve_plant(source):
         p = PRESETS[source]
         return p.plant, p.sample_hz, p.horizon, p
     if isinstance(source, str):
-        path = Path(source)
-        if not path.exists():
+        if not Path(source).exists():
             raise ConfigError("plant", f"{source!r} is not a preset or an existing file")
-        try:
-            spec = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError("plant", f"invalid JSON in {source}: {exc}") from None
-        return (*_parse_plant_dict(spec), None)
+        source = _read_json("plant", source)
     return (*_parse_plant_dict(source), None)
 
 
@@ -101,7 +98,9 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
 def _configure(args, file_config):
     """The validated config plus the plant and Preset (or None) it resolved."""
     merged = {}
-    if file_config:
+    if file_config is not None:
+        if not isinstance(file_config, dict):
+            raise ConfigError("config", f"expected a JSON object, got {type(file_config).__name__}")
         unknown = set(file_config) - {f for f in ExperimentConfig.__dataclass_fields__}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
@@ -128,19 +127,20 @@ def _configure(args, file_config):
 def _validate(cfg: ExperimentConfig):
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
-        if f.type in (int, int | None):
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        if f.type is int or (f.type == int | None and value is not None):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f.name, f"must be an integer, got {value!r}")
         elif f.type is float:
             numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (numeric and math.isfinite(value)):
+            # NaN, inf and an int beyond the float range fail (math.isfinite raises on that int)
+            if not (numeric and abs(value) <= sys.float_info.max):
                 raise ConfigError(f.name, f"must be a finite number, got {value!r}")
-    if not isinstance(cfg.out, str):
-        raise ConfigError("out", f"must be a path string, got {cfg.out!r}")
+        elif f.type is str and not isinstance(value, str):
+            raise ConfigError(f.name, f"must be a string, got {value!r}")
     if cfg.n < 1:
         raise ConfigError("n", "horizon must be at least 1")
-    if cfg.sample_hz <= 0:
-        raise ConfigError("sample_hz", "sample rate must be positive")
+    if not (cfg.sample_hz > 0 and np.isfinite(1.0 / cfg.sample_hz)):
+        raise ConfigError("sample_hz", "sample rate must be positive, with a finite period")
     if cfg.q is not None and not 0 <= cfg.q < cfg.n:
         raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
     if cfg.law not in _LAWS:
@@ -202,7 +202,10 @@ def _workspace(cfg: ExperimentConfig, plant, preset, default_q=None) -> _Workspa
     except ValueError as exc:
         raise ConfigError("q", str(exc)) from None
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError("out", f"cannot create directory {cfg.out!r}: {exc}") from None
     return _Workspace(cfg, preset, model, inverse, deleted, out)
 
 
@@ -250,15 +253,11 @@ def cmd_analyze(ws: _Workspace):
     if cfg.power > 1 and cfg.law != "accelerated":
         E = np.linalg.matrix_power(E, cfg.power)
     report = convergence.analyze(E)
+    spectra = zip(report.singular_values, report.eigenvalue_magnitudes)
     write_rows(
         ws.out / "table.csv",
         ["order", "singular_value", "eigenvalue_magnitude"],
-        [
-            (i + 1, s, v)
-            for i, (s, v) in enumerate(
-                zip(report.singular_values, report.eigenvalue_magnitudes)
-            )
-        ],
+        [(i, s, v) for i, (s, v) in enumerate(spectra, start=1)],
     )
     write_json(
         ws.out / "report.json",
@@ -310,7 +309,9 @@ def cmd_simulate(ws: _Workspace):
             law = _LAWS[cfg.law](ws)
             traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
             result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
-    except DivergedRunError as exc:
+    except NumericalDegeneracyError as exc:
+        if exc.result is None:  # the law broke down before any run
+            raise
         diverged, result = exc, exc.result
     write_rows(
         ws.out / "rms.csv",
@@ -411,20 +412,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        file_config = None
-        if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError("config", f"file {args.config!r} does not exist")
-            try:
-                file_config = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config", f"invalid JSON: {exc}") from None
+        file_config = _read_json("config", args.config) if args.config else None
         if args.command == "optimize" and args.opt_iterations is None and args.iterations is not None:
             args.opt_iterations, args.iterations = args.iterations, None
         cfg, plant, preset = _configure(args, file_config)
+        if args.command == "compare" and cfg.traj == "worst_case":  # the accelerated law's own
+            raise ConfigError("traj", "compare runs the yd1 or yd2 trajectory")
         ws = _workspace(cfg, plant, preset, _DEFAULT_Q.get(args.command))
-        resolved, stopped = _COMMANDS[args.command](ws)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
+            resolved, stopped = _COMMANDS[args.command](ws)
         write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})
         if stopped is not None:
             raise stopped
@@ -432,14 +428,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DegenerateSingularValueError,
-        DivergedRunError,
-        IllConditionedCirculantError,
-        NonFiniteGainError,
-        NonFiniteSamplingError,
-        RankDeficientPlantError,
-    ) as exc:
+    except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonFiniteGainError
+from .errors import NonFiniteGainError, NumericalDegeneracyError
 from .lifted import DeletedModel
 
 __all__ = ["ConvergenceReport", "GainSweep", "analyze", "gain_sweep"]
@@ -52,14 +52,17 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
     error the nonsymmetric QR algorithm already commits (Golub & Van Loan,
     Matrix Computations, 7.5.6 and 8.1), the sorted |eigvalsh(S)| is
     returned as both spectra, and the spectral radius equals sigma_max.
-    Other maps, and any with a non-finite entry, take the dense SVD and
-    eigenvalues.
+    Other maps, and any whose Frobenius norm overflows, take the dense SVD
+    and eigenvalues. A map with a NaN or infinite entry has no spectrum:
+    NumericalDegeneracyError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("error propagation matrix must be square")
+    if not np.isfinite(matrix).all():
+        raise NumericalDegeneracyError("error propagation matrix has a non-finite entry")
     skew = 0.5 * (matrix - matrix.T)
-    # chained: also False for an infinite or NaN norm
+    # chained: also False for a norm that overflows
     if np.linalg.norm(skew) <= matrix.shape[0] * _EPS * np.linalg.norm(matrix) < np.inf:
         eigen = _sorted_magnitudes(np.linalg.eigvalsh(0.5 * (matrix + matrix.T)))
         singular = eigen.copy()
@@ -121,7 +124,7 @@ def _eigen_condition(base):
     work, _ = lapack.dgeev_lwork(base.shape[0], compute_vl=1, compute_vr=1)
     wr, wi, left, right, info = lapack.dgeev(np.asarray_chkfinite(base), lwork=int(work))
     if info != 0:
-        raise np.linalg.LinAlgError("eig algorithm (geev) did not converge")
+        raise NumericalDegeneracyError("eig algorithm (geev) did not converge in the gain sweep")
     cond = np.empty(wr.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in np.flatnonzero(wi >= 0):  # a real eigenvalue or the first of a pair

@@ -9,7 +9,18 @@ class ConfigError(ValueError):
         self.field = field
 
 
-class IllConditionedCirculantError(RuntimeError):
+class NumericalDegeneracyError(Exception):
+    """The design chain broke down numerically; the CLI exits 3 on any of these.
+
+    Each subclass keeps a builtin second parent (RuntimeError, ArithmeticError
+    or ValueError), so an except clause written for that builtin still matches.
+    result: the record a learning run made before it broke down, else None.
+    """
+
+    result = None
+
+
+class IllConditionedCirculantError(NumericalDegeneracyError, RuntimeError):
     """Circulant matrix is numerically singular at one or more frequencies.
 
     indices and magnitudes hold every bad frequency; the message names the
@@ -30,7 +41,7 @@ class IllConditionedCirculantError(RuntimeError):
         )
 
 
-class NonFiniteSamplingError(ArithmeticError):
+class NonFiniteSamplingError(NumericalDegeneracyError, ArithmeticError):
     """Zero-order-hold sampling overflowed: the sampled plant is not finite."""
 
     def __init__(self, period):
@@ -38,7 +49,7 @@ class NonFiniteSamplingError(ArithmeticError):
         super().__init__(f"zero-order-hold sampling at period {period:.6g} s is not finite")
 
 
-class NonFiniteGainError(ArithmeticError):
+class NonFiniteGainError(NumericalDegeneracyError, ArithmeticError):
     """A gain sweep overflowed: (I - phi B)^T (I - phi B) is not finite at this gain."""
 
     def __init__(self, gain):
@@ -46,7 +57,7 @@ class NonFiniteGainError(ArithmeticError):
         super().__init__(f"gain sweep overflows at phi = {gain:.6g}: sigma_max^2 is not finite")
 
 
-class DegenerateSingularValueError(RuntimeError):
+class DegenerateSingularValueError(NumericalDegeneracyError, RuntimeError):
     """Requested singular value is (numerically) repeated; its derivative is undefined."""
 
     def __init__(self, index, gap, scale):
@@ -59,11 +70,11 @@ class DegenerateSingularValueError(RuntimeError):
         )
 
 
-class RankDeficientPlantError(ValueError):
+class RankDeficientPlantError(NumericalDegeneracyError, ValueError):
     """Plant matrix is numerically rank deficient; a law that inverts it is undefined."""
 
 
-class DivergedRunError(ArithmeticError):
+class DivergedRunError(NumericalDegeneracyError, ArithmeticError):
     """A learning run's error stopped being finite.
 
     iteration: the first iteration whose error is not finite.

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IllConditionedCirculantError
+from .errors import IllConditionedCirculantError, NumericalDegeneracyError
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
 
 __all__ = [
@@ -167,7 +167,7 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     # round-off leaves an imaginary part that grows with the entries and the condition number
     residue = np.max(np.abs(col.imag))
     if residue > _IMAG_RESIDUE_TOL * np.max(np.abs(col)) * mags.max() / mags.min():
-        raise ArithmeticError(f"imaginary residue {residue:.3e} in circulant inverse")
+        raise NumericalDegeneracyError(f"imaginary residue {residue:.3e} in circulant inverse")
     return scipy.linalg.circulant(col.real)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSingularValueError
-from .laws import LearningLaw, signed_svd
+from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
 __all__ = [
@@ -140,11 +140,9 @@ def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray, k: int = 0) -> np
 
     A unit perturbation at (i, j) changes the propagation matrix by -P e_i e_j^T,
     so the derivative is -u_k^T P e_i e_j^T v_k: the rank-one outer product
-    -(P^T u_k) v_k^T.
+    -(P^T u_k) v_k^T, unchanged when u_k and v_k flip sign together.
     """
-    n = p_matrix.shape[0]
-    E = np.eye(n) - p_matrix @ gain
-    U, s, Vt = signed_svd(E)
+    U, s, Vt = np.linalg.svd(error_propagation(p_matrix, gain))
     _check_gap(s, k)
     return -np.outer(p_matrix.T @ U[:, k], Vt[k, :])
 
@@ -201,7 +199,6 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
     """
     P = deleted.toeplitz
     L = deleted.circulant_inverse.copy()
-    n = P.shape[0]
     region = config.region or GainRegion.corner_blocks(L.shape)
     region.validate_shape(L.shape)
     rows, cols = region.rows, region.cols
@@ -211,8 +208,8 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
     diagnostic = None
     done = 0
     for it in range(config.iterations + 1):
-        E = np.eye(n) - P @ L
-        U, s, Vt = signed_svd(E)
+        E = error_propagation(P, L)
+        U, s, Vt = np.linalg.svd(E)
         sigma[it] = s[0]
         rho[it] = np.max(np.abs(np.linalg.eigvals(E)))
         done = it + 1

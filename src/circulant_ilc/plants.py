@@ -47,10 +47,10 @@ class ContinuousPlant:
         object.__setattr__(self, "second_order", so)
         if not fo and not so:
             raise ValueError("plant needs at least one section")
-        if any(a <= 0 for a in fo):
-            raise ValueError("first-order pole parameters must be positive")
-        if any(w <= 0 or z <= 0 for w, z in so):
-            raise ValueError("second-order sections need positive frequency and damping")
+        if not all(x > 0 for x in fo + sum(so, ())):  # all(x > 0), not any(x <= 0): NaN fails
+            raise ValueError("section parameters a, omega and zeta must be positive")
+        if not np.isfinite([*fo, *(x for w, z in so for x in (w * w, 2.0 * z * w))]).all():
+            raise ValueError("realization overflows: a, omega**2 or 2*zeta*omega is not finite")
 
     @property
     def order(self):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedRunError
-from .laws import LearningLaw, signed_svd
+from .laws import LearningLaw, error_propagation, signed_svd
 from .lifted import LiftedModel
 from .plants import DiscretePlant
 
@@ -146,8 +146,6 @@ def worst_case_experiment(
     """
     if law.q != 0:
         raise ValueError("worst-case experiment needs a law on the non-deleted model")
-    n = model.horizon
-    E = np.eye(n) - model.toeplitz @ law.gain
-    _, _, Vt = signed_svd(E)
+    _, _, Vt = signed_svd(error_propagation(model.toeplitz, law))
     trajectory = Trajectory(Vt[0, :], "custom", model.period)
     return run_ilc(model, law, trajectory, iterations)

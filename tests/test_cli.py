@@ -1,26 +1,42 @@
 """Command-line driver tests: artifacts, exit codes, determinism, round trips."""
 
 import csv
+import io
 import json
+import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from circulant_ilc import (
     PRESETS,
     ConfigError,
+    DegenerateSingularValueError,
+    DivergedRunError,
+    IllConditionedCirculantError,
     LiftedModel,
+    NonFiniteGainError,
+    NonFiniteSamplingError,
+    NumericalDegeneracyError,
     OptimizerConfig,
     circulant_inverse,
     delete_initial_steps,
     discretize_zoh,
+    RankDeficientPlantError,
     optimize,
     realize,
 )
-from circulant_ilc.cli import _LAWS, build_config, main
+from circulant_ilc import cli as cli_module
+from circulant_ilc.cli import _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, build_config, main
 from circulant_ilc.laws import KINDS
+from strategies import PROPERTY
 
 
 def run(args):
@@ -54,8 +70,7 @@ def test_analyze_deleted_reproduces_deleted_table(tmp_path):
 
 def degenerate_stub(monkeypatch):
     """Replace the CLI's descent with one stopped on a sigma_1 gap of 1.234e-09."""
-    from circulant_ilc import DegenerateSingularValueError, LearningLaw, OptimizationTrace
-    from circulant_ilc import cli as cli_module
+    from circulant_ilc import LearningLaw, OptimizationTrace
 
     stub = OptimizationTrace(
         sigma=np.array([1.0]),
@@ -87,6 +102,35 @@ def test_optimized_law_degeneracy_reports_true_gap(tmp_path, capsys, monkeypatch
     assert err.startswith("numerical degeneracy: ")
     assert "gap 1.234e-09" in err
     assert not (tmp_path / f"{command}_meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error, builtin",
+    [
+        (IllConditionedCirculantError, RuntimeError),
+        (NonFiniteSamplingError, ArithmeticError),
+        (NonFiniteGainError, ArithmeticError),
+        (DegenerateSingularValueError, RuntimeError),
+        (RankDeficientPlantError, ValueError),
+        (DivergedRunError, ArithmeticError),
+    ],
+)
+def test_numerical_failures_are_one_family(error, builtin):
+    # the builtin base stays, so an except clause written for it still matches
+    assert issubclass(error, NumericalDegeneracyError) and issubclass(error, builtin)
+
+
+def test_new_family_member_exits_three(tmp_path, capsys, monkeypatch):
+    # the CLI lists no failure type: a new one needs no edit there
+    class NewFailure(NumericalDegeneracyError):
+        pass
+
+    def fail(ws):
+        raise NewFailure("a failure the CLI has never seen")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "analyze", fail)
+    assert run(["analyze", "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == "numerical degeneracy: a failure the CLI has never seen\n"
 
 
 def test_analyze_sixth_power(tmp_path):
@@ -450,10 +494,192 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_metadata_round_trips_to_equivalent_config(tmp_path):
-    from dataclasses import asdict
-
     out = tmp_path / "out"
     assert run(["analyze", "--q", 1, "--power", 3, "--out", out]) == 0
     meta = json.loads((out / "analyze_meta.json").read_text())
     reparsed = build_config(None, meta["config"])
     assert asdict(reparsed) == meta["config"]
+
+
+# --- fuzz: drawn configs and plant specs end in exit 0, 2 or 3, never a traceback
+
+JUNK = st.sampled_from(
+    [None, True, "x", "51", [], [1.0], {}, {"a": 1}, -1, 0, 2**63, 10**400,
+     1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+)
+
+
+def _mixer(junk):
+    """Every draw valid, or (junk) about one draw in four a wrong type or an extreme value."""
+    return (lambda valid: st.one_of(valid, valid, valid, JUNK)) if junk else (lambda valid: valid)
+
+
+RARELY = st.sampled_from([True, False, False, False])
+
+
+@st.composite
+def plant_specs(draw):
+    """A plant spec of 1-4 sections; half the specs hold junk."""
+    junk = draw(st.booleans())
+    maybe = _mixer(junk)
+    pole = maybe(st.floats(0.5, 500.0))
+    section = st.fixed_dictionaries({"omega": pole, "zeta": maybe(st.floats(0.05, 2.0))})
+    kinds = {
+        "first_order": st.lists(pole, min_size=1, max_size=2),
+        "second_order": st.lists(maybe(section), min_size=1, max_size=2),
+    }
+    keys = draw(st.sampled_from([["first_order"], ["second_order"], sorted(kinds)]))
+    spec = {key: draw(maybe(kinds[key])) for key in keys}
+    for key, valid in (("sample_hz", st.floats(5.0, 500.0)), ("N", st.integers(1, 64))):
+        if draw(st.booleans()):
+            spec[key] = draw(maybe(valid))
+    if junk and draw(RARELY):
+        spec["horizon"] = 51  # an unknown field
+    return spec
+
+
+@st.composite
+def configs(draw):
+    """A config file; half the configs hold junk. Valid values keep each run small."""
+    junk = draw(st.booleans())
+    maybe = _mixer(junk)
+    fields = {
+        "plant": st.one_of(st.sampled_from(sorted(PRESETS)), plant_specs()),
+        "n": st.integers(1, 64),
+        "sample_hz": st.floats(5.0, 500.0),
+        "q": st.one_of(st.none(), st.integers(0, 3)),
+        "law": st.sampled_from(KINDS),
+        "power": st.integers(1, 8),
+        "phi": st.floats(-3.0, 3.0),
+        "law_gain": st.floats(-3.0, 3.0),
+        "law_weight": st.floats(0.01, 10.0),
+        "opt_weight": st.floats(0.01, 10.0),
+        "region_size": st.integers(1, 10),
+        "traj": st.sampled_from(_TRAJ_CHOICES),
+        "iterations": st.integers(0, 20),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    config = {key: draw(maybe(fields[key])) for key in keys}
+    if draw(st.booleans()):  # all three, or the default 61-point grid
+        lo, step = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 1.0))
+        hi = lo + draw(st.integers(0, 63)) * step
+        grid = {"phi_min": lo, "phi_max": hi, "phi_step": step}
+        config.update({key: draw(maybe(st.just(value))) for key, value in grid.items()})
+    opt = st.integers(1, 20)
+    if junk:  # never None: the fourth- and fifth-order presets default to 10^4 iterations
+        opt = st.one_of(opt, opt, opt, st.sampled_from([0, "5", 5.0, 10**400, math.nan]))
+    config["opt_iterations"] = draw(opt)
+    if junk and draw(RARELY):
+        config["out"] = draw(st.sampled_from([5, None, [], "/dev/null/x"]))
+    if junk and draw(RARELY):
+        config = draw(st.sampled_from([[config], 5, "analyze"]))  # not a JSON object
+    return config
+
+
+def _fuzz_run(command, config, plant_file):
+    """main's exit code and stderr, with the run's artifacts checked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if isinstance(config, dict):
+            config = {"out": str(tmp / "out"), **config}
+        if plant_file is not None and isinstance(config, dict):
+            (tmp / "plant.json").write_text(json.dumps(plant_file))
+            config["plant"] = str(tmp / "plant.json")
+        (tmp / "config.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--config", str(tmp / "config.json")])
+        err = err.getvalue()
+        assert code in (0, 2, 3)
+        # a warning adds stderr lines; only a pole at or above Nyquist is warned about
+        assert all("aliases" in str(w.message) for w in caught), [str(w.message) for w in caught]
+        for table in (tmp / "out").glob("*.csv"):
+            cells = [cell for row in read_csv(table)[1] for cell in row]
+            assert np.isfinite(np.array(cells, dtype=float)).all(), table.name
+        if code == 0:
+            assert err == ""
+            meta = json.loads((tmp / "out" / f"{command}_meta.json").read_text())
+            assert asdict(build_config(None, meta["config"])) == meta["config"]
+        else:
+            prefix = "configuration error: " if code == 2 else "numerical degeneracy: "
+            assert err.startswith(prefix) and err.count("\n") == 1, err
+        if code == 2:
+            field = err[len(prefix):].split(":")[0]
+            assert field in {*ExperimentConfig.__dataclass_fields__, "config"}, err
+        return code, err
+
+
+NAN_POLE = {"first_order": [math.nan]}
+INF_POLE = {"first_order": [math.inf]}
+HUGE_OMEGA = {"second_order": [{"omega": 1e200, "zeta": 0.5}]}
+HUGE_ZETA = {"second_order": [{"omega": 37, "zeta": 1e308}]}
+
+
+@PROPERTY
+@given(command=st.sampled_from(sorted(_COMMANDS)), config=configs(),
+       plant_file=st.one_of(st.none(), plant_specs()))
+@example(command="analyze", config={}, plant_file=NAN_POLE)
+@example(command="analyze", config={}, plant_file=INF_POLE)
+@example(command="analyze", config={}, plant_file=HUGE_OMEGA)
+@example(command="analyze", config={}, plant_file=HUGE_ZETA)
+@example(command="analyze", config={"law": {}}, plant_file=None)
+@example(command="analyze", config={"out": "/dev/null/x"}, plant_file=None)
+@example(command="analyze", config={"law": "scaled_inverse_circulant", "phi": 1e308},
+         plant_file=None)
+@example(command="analyze", config={"law": "contraction_mapping", "law_gain": 1e300,
+                                     "power": 3}, plant_file=None)
+def test_cli_fuzz_exits_cleanly(command, config, plant_file):
+    _fuzz_run(command, config, plant_file)
+
+
+@pytest.mark.parametrize(
+    "command, config, plant_file, code, message",
+    [
+        ("analyze", {}, NAN_POLE, 2, "plant: section parameters"),
+        ("analyze", {}, INF_POLE, 2, "plant: realization overflows"),
+        ("analyze", {}, HUGE_OMEGA, 2, "plant: realization overflows"),
+        ("analyze", {}, HUGE_ZETA, 2, "plant: realization overflows"),
+        ("analyze", {"law": {}}, None, 2, "law: must be a string"),
+        ("analyze", {"out": "/dev/null/x"}, None, 2, "out: cannot create directory"),
+        ("analyze", {"law": "scaled_inverse_circulant", "phi": 1e308}, None, 3,
+         "error propagation matrix has a non-finite entry"),
+        ("analyze", {"law": "contraction_mapping", "law_gain": 1e300, "power": 3}, None, 3,
+         "error propagation matrix has a non-finite entry"),
+        ("analyze", {"n": None}, None, 2, "n: must be an integer"),
+        ("analyze", {"sample_hz": 10**400}, None, 2, "sample_hz: must be a finite number"),
+        ("analyze", {"sample_hz": 5e-324}, None, 2, "sample_hz: sample rate must be positive"),
+        ("analyze", 5, None, 2, "config: expected a JSON object"),
+        ("compare", {"traj": "worst_case"}, None, 2, "traj: compare runs"),
+    ],
+    ids=["nan_pole", "inf_pole", "huge_omega", "huge_zeta", "dict_law", "out_not_dir",
+         "phi_1e308", "gain_1e300_cubed", "null_n", "int_hz_beyond_float",
+         "hz_with_infinite_period", "config_not_object", "compare_worst_case"],
+)
+def test_reproduced_tracebacks_exit_with_one_line(command, config, plant_file, code, message):
+    # each of these used to end in a traceback (exit 1)
+    got, err = _fuzz_run(command, config, plant_file)
+    assert got == code
+    assert message in err
+
+
+def test_plant_and_config_files_fail_closed(tmp_path, capsys):
+    # a misspelt section used to be ignored, so a different plant ran
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps({"first_order": [8.8], "second_ordr": []}))
+    assert run(["analyze", "--plant", plant, "--out", tmp_path / "out"]) == 2
+    assert "plant: unknown plant field 'second_ordr'" in capsys.readouterr().err
+    # an integer over Python's 4300-digit limit used to end in a ValueError
+    config = tmp_path / "config.json"
+    config.write_text('{"phi": 1' + "0" * 5000 + "}")
+    assert run(["analyze", "--config", config, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: config: cannot read JSON")
+    assert not (tmp_path / "out").exists()
+
+
+def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys):
+    # the entries are finite, only the Frobenius norm overflows: not a degeneracy
+    assert run(["analyze", "--law", "contraction_mapping", "--law-gain", 1e308,
+                "--out", tmp_path]) == 0
+    assert capsys.readouterr().out.startswith("sigma_max = 9.1155135153523612e+307  ")

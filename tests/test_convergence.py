@@ -17,6 +17,7 @@ from circulant_ilc import (
     IllConditionedCirculantError,
     LiftedModel,
     NonFiniteGainError,
+    NumericalDegeneracyError,
     RankDeficientPlantError,
     accelerated_law,
     analyze,
@@ -76,6 +77,23 @@ def test_analyze_zero_matrix():
 def test_analyze_rejects_nonsquare():
     with pytest.raises(ValueError):
         analyze(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_analyze_names_a_non_finite_entry(bad):
+    # the dense SVD used to end in a LinAlgError ("SVD did not converge" or
+    # "Array must not contain infs or NaNs")
+    E = np.eye(4)
+    E[1, 2] = bad
+    with pytest.raises(NumericalDegeneracyError, match="non-finite entry"):
+        analyze(E)
+
+
+def test_gain_sweep_names_a_dgeev_that_did_not_converge(third, monkeypatch):
+    dgeev = scipy.linalg.lapack.dgeev
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", lambda *a, **k: (*dgeev(*a, **k)[:4], 1))
+    with pytest.raises(NumericalDegeneracyError, match="did not converge"):
+        gain_sweep(third.deleted(1), [0.5])
 
 
 def test_spectra_sorted_descending():

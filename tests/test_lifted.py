@@ -14,6 +14,7 @@ from circulant_ilc import (
     DiscretePlant,
     IllConditionedCirculantError,
     LiftedModel,
+    NumericalDegeneracyError,
     circulant_deviation,
     circulant_inverse,
     circulant_matrix,
@@ -189,6 +190,14 @@ def test_circulant_inverse_fails_closed_on_degenerate_sequence(value):
     with pytest.raises(IllConditionedCirculantError) as info:
         circulant_inverse(fake_model([value, 0.0, 0.0, 0.0]))
     assert info.value.indices == [0, 1, 2, 3]
+
+
+def test_circulant_inverse_names_an_imaginary_residue(monkeypatch):
+    # a bare ArithmeticError before, outside the family the CLI reports
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x: ifft(x) + 1j)
+    with pytest.raises(NumericalDegeneracyError, match="imaginary residue"):
+        circulant_inverse(fake_model([1.0, 0.5, 0.0, 0.0]))
 
 
 def test_delete_zero_steps_is_identity(third):

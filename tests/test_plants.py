@@ -51,6 +51,23 @@ def test_plant_validation_rejects_bad_sections():
         ContinuousPlant()
 
 
+@pytest.mark.parametrize(
+    "sections",
+    [
+        {"first_order": (np.nan,)},
+        {"first_order": (np.inf,)},
+        {"second_order": ((np.nan, 0.5),)},
+        {"second_order": ((37.0, np.inf),)},
+        {"second_order": ((1e200, 0.5),)},   # omega**2 overflows
+        {"second_order": ((37.0, 1e308),)},  # 2 zeta omega overflows
+    ],
+)
+def test_plant_validation_rejects_non_finite_sections(sections):
+    # each used to pass and end in a LinAlgError from eigvals in discretize_zoh
+    with pytest.raises(ValueError):
+        ContinuousPlant(**sections)
+
+
 def test_first_order_realization_matches_transfer():
     plant = ContinuousPlant(first_order=(1.0,))
     css = realize(plant)
