@@ -38,7 +38,6 @@ from .lifted import (
     circulant_inverse,
     circulant_matrix,
     delete_initial_steps,
-    dft_matrix,
     dft_verify,
     step_observability,
     toeplitz_matrix,

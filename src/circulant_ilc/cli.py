@@ -9,6 +9,7 @@ the same configuration. Exit codes: 0 success, 2 configuration error,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -25,9 +26,8 @@ __all__ = ["main", "ExperimentConfig", "build_config"]
 
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
 _MAX_SWEEP_POINTS = 100_000
-# One budget bounds the work fields: 2**24 float64 entries (128 MiB) in the N x N
-# lifted matrices, the (iterations + 1) x N learning record, the descent trace,
-# and the power N x N terms the accelerated law sums.
+# One memory budget bounds the work fields: 2**24 float64 entries (128 MiB) in the
+# N x N lifted matrices, the (iterations + 1) x N learning record and the descent trace.
 _MAX_ENTRIES = 2**24
 
 
@@ -55,17 +55,33 @@ class ExperimentConfig:
     out: str = "."
 
 
+def _is_number(value):
+    """A float, or an int (not a bool) within the float range."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
+
+
+def _is_section(entry):
+    return isinstance(entry, dict) and set(entry) == {"omega", "zeta"} and all(
+        map(_is_number, entry.values())
+    )
+
+
 def _parse_plant_dict(spec):
     if not isinstance(spec, dict):
         raise ConfigError("plant", f"expected a JSON object, got {type(spec).__name__}")
     unknown = set(spec) - {"first_order", "second_order", "sample_hz", "N"}
     if unknown:
         raise ConfigError("plant", f"unknown plant field {sorted(unknown)[0]!r}")
+    first, second = spec.get("first_order", []), spec.get("second_order", [])
+    if not (isinstance(first, (list, tuple)) and all(map(_is_number, first))):
+        raise ConfigError("plant", "first_order must be a list of numbers")
+    if not (isinstance(second, (list, tuple)) and all(map(_is_section, second))):
+        raise ConfigError("plant", "each second_order entry needs numeric omega and zeta, nothing else")
     try:
-        first = tuple(spec.get("first_order", ()))
-        second = tuple((s["omega"], s["zeta"]) for s in spec.get("second_order", ()))
-        plant = ContinuousPlant(first_order=first, second_order=second)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        plant = ContinuousPlant(tuple(first), tuple((s["omega"], s["zeta"]) for s in second))
+    except ValueError as exc:
         raise ConfigError("plant", str(exc)) from None
     return plant, spec.get("sample_hz"), spec.get("N")
 
@@ -131,9 +147,7 @@ def _validate(cfg: ExperimentConfig):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f.name, f"must be an integer, got {value!r}")
         elif f.type is float:
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            # NaN, inf and an int beyond the float range fail (math.isfinite raises on that int)
-            if not (numeric and abs(value) <= sys.float_info.max):
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):  # NaN and inf fail
                 raise ConfigError(f.name, f"must be a finite number, got {value!r}")
         elif f.type is str and not isinstance(value, str):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
@@ -141,8 +155,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("n", "horizon must be at least 1")
     if not (cfg.sample_hz > 0 and np.isfinite(1.0 / cfg.sample_hz)):
         raise ConfigError("sample_hz", "sample rate must be positive, with a finite period")
-    if cfg.q is not None and not 0 <= cfg.q < cfg.n:
-        raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
     if cfg.law not in _LAWS:
         raise ConfigError("law", f"must be one of {tuple(_LAWS)}")
     if cfg.power < 1:
@@ -166,14 +178,16 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("traj", f"must be one of {_TRAJ_CHOICES}")
     if cfg.iterations < 0:
         raise ConfigError("iterations", "must be nonnegative")
-    for name, entries in (
-        ("n", cfg.n**2),
-        ("iterations", (cfg.iterations + 1) * cfg.n),
-        ("opt_iterations", (cfg.opt_iterations or 0) + 1),
-        ("power", cfg.power * cfg.n**2),
+    # the largest value whose arrays fit: n^2, (iterations + 1) n or opt_iterations + 1 entries
+    for name, value, limit in (
+        ("n", cfg.n, math.isqrt(_MAX_ENTRIES)),
+        ("iterations", cfg.iterations, _MAX_ENTRIES // cfg.n - 1),
+        ("opt_iterations", cfg.opt_iterations or 0, _MAX_ENTRIES - 1),
     ):
-        if entries > _MAX_ENTRIES:
-            raise ConfigError(name, f"needs {entries} float64 entries, over the {_MAX_ENTRIES} budget")
+        if value > limit:  # the limit, not the value: an int can have 4300 digits
+            raise ConfigError(name, f"at most {limit} fits the {_MAX_ENTRIES}-entry memory budget")
+    if cfg.q is not None and not 0 <= cfg.q < cfg.n:  # after the budget: n then prints short
+        raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
 
 
 @dataclass(frozen=True)

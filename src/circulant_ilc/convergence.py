@@ -160,7 +160,11 @@ def _top_ritz_vector(G, start):
 
     A Krylov space that becomes invariant to round-off, as the span of an
     exact eigenvector does, goes on from a fixed pseudo-random vector with
-    zero coupling, so it can still reach the top eigenvector. Its zero
+    zero coupling, so it can still reach the top eigenvector. That vector can
+    itself lie in the span (it may be the warm start), so further seeds are
+    tried until one keeps more than n eps of its norm outside it: for a
+    finite G and start every basis vector, and so the Ritz vector, is finite
+    and nonzero, and it can be the next gain's warm start. The zero
     residual says nothing of the rest of the spectrum, so from then on only
     the step limit ends the basis.
     """
@@ -181,8 +185,11 @@ def _top_ritz_vector(G, start):
                 beta[k] = norm
             else:
                 invariant = True
-                w = np.random.default_rng(k).standard_normal(n)
-                norm = _orthogonalize(w, Q[: k + 1])
+                seed = k
+                while not norm > n * _EPS * scale:
+                    w = np.random.default_rng(seed).standard_normal(n)
+                    scale, seed = _nrm2(w), seed + steps
+                    norm = _orthogonalize(w, Q[: k + 1])
         ritz, y, _ = _dstev(alpha[: k + 1], beta[: max(k, 1)])  # dstev takes len(e) >= 1
         if k + 1 == steps or not invariant and beta[k] * abs(y[k, -1]) <= tol * ritz[-1]:
             return y[:, -1] @ Q[: k + 1]

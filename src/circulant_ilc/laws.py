@@ -89,21 +89,25 @@ def scaled_inverse_circulant_law(deleted: DeletedModel, overall_gain: float) -> 
 def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
     """Gain whose propagation matrix is the `power`-th power of the base one.
 
-    Built from the geometric sum L = Pc_inv * sum_{k<p} (I - P Pc_inv)^k, which
-    equals P^-1 [I - (I - P Pc_inv)^p] without forming the catastrophically
-    ill-conditioned P^-1.
+    Built from the geometric sum L = Pc_inv S_p, S_p = sum_{k<p} E^k with
+    E = I - P Pc_inv, which equals P^-1 [I - E^p] without forming the
+    catastrophically ill-conditioned P^-1. S_p is summed by binary doubling,
+    S_2m = S_m + E^m S_m and S_2m+1 = I + E S_2m, in O(log p) products; the
+    last power of E, which no step reads, is not formed.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
-    P = deleted.toeplitz
     C = deleted.circulant_inverse
-    n = P.shape[0]
-    E = np.eye(n) - P @ C
-    total = np.eye(n)
-    term = np.eye(n)
-    for _ in range(power - 1):
-        term = term @ E
-        total = total + term
+    E = error_propagation(deleted.toeplitz, C)
+    eye = np.eye(E.shape[0])
+    total, E_m = eye, E  # S_m and E^m for m = 1
+    bits = bin(power)[3:]  # the bits after the leading one
+    for i, bit in enumerate(bits):
+        total = total + E_m @ total if i else eye + E  # S_2 = I + E takes no product
+        if bit == "1":
+            total = eye + E @ total
+        if i + 1 < len(bits):
+            E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
     return LearningLaw(C @ total, "accelerated", deleted.q, params={"power": int(power)})
 
 

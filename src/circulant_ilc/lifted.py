@@ -16,7 +16,6 @@ __all__ = [
     "toeplitz_matrix",
     "step_observability",
     "circulant_matrix",
-    "dft_matrix",
     "dft_verify",
     "circulant_inverse",
     "circulant_deviation",
@@ -98,13 +97,6 @@ class DeletedModel:
     @property
     def horizon(self):
         return self.toeplitz.shape[1]
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Forward DFT matrix with entries z0^(-j*k) for z0 = exp(2 pi i / n)."""
-    j = np.arange(n)
-    z0 = np.exp(2j * np.pi / n)
-    return z0 ** (-np.outer(j, j))
 
 
 @dataclass(frozen=True)

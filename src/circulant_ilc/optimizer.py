@@ -123,28 +123,25 @@ class SensitivityMap:
     flagged_columns: np.ndarray
 
 
-def _check_gap(s: np.ndarray, k: int):
-    scale = float(s[0])
-    gap = np.inf
-    if k > 0:
-        gap = min(gap, float(s[k - 1] - s[k]))
-    # a square matrix's last singular value mirrors to -s[k]: its kink at zero
-    lower = s[k + 1] if k + 1 < s.size else -s[k]
-    gap = min(gap, float(s[k] - lower))
+def _check_gap(s: np.ndarray):
+    # a square matrix's last singular value mirrors to -s[0]: its kink at zero
+    lower = s[1] if s.size > 1 else -s[0]
+    gap, scale = float(s[0] - lower), float(s[0])
     if gap <= _GAP_RTOL * scale:
-        raise DegenerateSingularValueError(k, gap, scale)
+        raise DegenerateSingularValueError(0, gap, scale)
 
 
-def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray, k: int = 0) -> np.ndarray:
-    """Derivative of singular value k of I - P L with respect to every gain entry.
+def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Derivative of the largest singular value sigma_1 of I - P L with respect
+    to every gain entry.
 
     A unit perturbation at (i, j) changes the propagation matrix by -P e_i e_j^T,
-    so the derivative is -u_k^T P e_i e_j^T v_k: the rank-one outer product
-    -(P^T u_k) v_k^T, unchanged when u_k and v_k flip sign together.
+    so the derivative is -u_1^T P e_i e_j^T v_1: the rank-one outer product
+    -(P^T u_1) v_1^T, unchanged when u_1 and v_1 flip sign together.
     """
     U, s, Vt = np.linalg.svd(error_propagation(p_matrix, gain))
-    _check_gap(s, k)
-    return -np.outer(p_matrix.T @ U[:, k], Vt[k, :])
+    _check_gap(s)
+    return -np.outer(p_matrix.T @ U[:, 0], Vt[0, :])
 
 
 def sensitivity_map(deleted: DeletedModel, gain: np.ndarray | None = None) -> SensitivityMap:
@@ -155,7 +152,7 @@ def sensitivity_map(deleted: DeletedModel, gain: np.ndarray | None = None) -> Se
     """
     if gain is None:
         gain = deleted.circulant_inverse
-    matrix = sensitivity_matrix(deleted.toeplitz, gain, k=0)
+    matrix = sensitivity_matrix(deleted.toeplitz, gain)
     scores = np.max(np.abs(matrix), axis=0)
     flagged = np.where(scores > _FLAG_FACTOR * np.median(scores))[0]
     return SensitivityMap(matrix=matrix, column_scores=scores, flagged_columns=flagged)
@@ -216,7 +213,7 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
         if it == config.iterations:
             break
         try:
-            _check_gap(s, 0)
+            _check_gap(s)
         except DegenerateSingularValueError as exc:
             diagnostic = exc
             break

@@ -56,15 +56,6 @@ class ContinuousPlant:
     def order(self):
         return len(self.first_order) + 2 * len(self.second_order)
 
-    def transfer(self, s):
-        """Evaluate the factored transfer function at complex frequency s."""
-        g = 1.0 + 0.0j
-        for a in self.first_order:
-            g *= a / (s + a)
-        for w, z in self.second_order:
-            g *= w * w / (s * s + 2.0 * z * w * s + w * w)
-        return g
-
 
 def _readonly(a):
     a = np.array(a, dtype=float)
@@ -92,11 +83,6 @@ class ContinuousStateSpace:
     @property
     def order(self):
         return self.A.shape[0]
-
-    def transfer(self, s):
-        """C (sI - A)^-1 B at complex frequency s."""
-        n = self.order
-        return complex((self.C @ np.linalg.solve(s * np.eye(n) - self.A, self.B))[0, 0])
 
 
 @dataclass(frozen=True)

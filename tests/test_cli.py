@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -359,7 +360,9 @@ def test_sweep_grid_is_bounded(tmp_path, capsys):
         ("n", 4096, 4097),                          # 4096**2 = 2**24 lifted entries
         ("iterations", 328_964, 328_965),           # (iterations + 1) * 51 entries
         ("opt_iterations", 2**24 - 1, 2**24),       # iterations + 1 trace entries
-        ("power", 6450, 6451),                      # power * 51**2 entries
+        # power is bounded below only, since no allocation grows with it; the id names
+        # the edge of the power * 51**2 budget this row pinned until doubling removed it
+        pytest.param("power", 10**4000, 0, id="power-6450-6451"),
     ],
 )
 def test_work_fields_are_bounded(field, accepted, rejected):
@@ -374,8 +377,11 @@ def test_work_fields_are_bounded(field, accepted, rejected):
     [
         ("iterations", ["simulate", "--iterations", 1_000_000_000]),
         ("opt_iterations", ["optimize", "--opt-iterations", 2_000_000_000]),
-        ("power", ["analyze", "--law", "accelerated", "--power", 100_000_000]),
+        # power 100_000_000 now runs (test_power_is_outside_the_budget); only its
+        # lower bound still exits two
+        ("power", ["analyze", "--law", "accelerated", "--power", -100_000_000]),
         ("n", ["analyze", "--n", 200_000]),
+        ("iterations", ["simulate", "--n", 4096, "--iterations", 4096]),  # 4097 * 4096 entries
     ],
 )
 def test_oversized_work_exits_two(tmp_path, capsys, field, args):
@@ -384,6 +390,61 @@ def test_oversized_work_exits_two(tmp_path, capsys, field, args):
     assert run([*args, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
     assert not out.exists()
+
+
+def test_power_is_outside_the_budget(tmp_path):
+    # the accelerated law sums its series by doubling and --power squares, so no
+    # allocation grows with power; the budget used to reject power * N**2 > 2**24
+    assert build_config(None, {"power": 10**4000}).power == 10**4000
+    with pytest.raises(ConfigError, match="^power: must be at least 1"):
+        build_config(None, {"power": 0})
+    assert run(["analyze", "--law", "accelerated", "--power", 100_000_000,
+                "--out", tmp_path]) == 0
+
+
+def test_accelerated_law_cost_grows_with_log_power(tmp_path):
+    # the loop took 1.6e7 dense 1 x 1 products and 31 s; doubling takes fewer than 100
+    start = time.perf_counter()
+    assert run(["analyze", "--law", "accelerated", "--n", 1, "--power", 16_000_000,
+                "--out", tmp_path]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("digits", [401, 4300])
+@pytest.mark.parametrize("q", [None, -1])
+def test_budget_message_is_compact(tmp_path, capsys, digits, q):
+    # the message printed the whole entry count: 874 bytes at 401 digits, and a
+    # ValueError traceback at 4300 digits, whose square Python will not print;
+    # a bad q printed every digit of n
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"q": {json.dumps(q)}, "n": 1' + "0" * (digits - 1) + "}")
+    assert run(["analyze", "--config", config, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: n:") and len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"second_order": [{"omega": 37}]}, "each second_order entry needs numeric omega and zeta"),
+        ({"second_order": ["x"]}, "each second_order entry needs numeric omega and zeta"),
+        ({"second_order": [{"omega": 37, "zeta": "0.5"}]}, "each second_order entry"),
+        ({"second_order": [{"omega": 37, "zeta": 0.5, "gain": 2}]}, "each second_order entry"),
+        ({"first_order": 5}, "first_order must be a list of numbers"),
+        ({"first_order": ["x"]}, "first_order must be a list of numbers"),
+        ({"first_order": [10**400]}, "first_order must be a list of numbers"),
+    ],
+    ids=["missing_zeta", "string_entry", "string_zeta", "extra_field", "number", "string_pole",
+         "pole_beyond_float"],
+)
+def test_plant_sections_say_what_is_wrong(tmp_path, capsys, spec, message):
+    # these used to print Python's own words: plant: 'zeta', plant: string indices
+    # must be integers, not 'str', plant: 'int' object is not iterable
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(spec))
+    assert run(["analyze", "--plant", plant, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: plant: ") and message in err, err
 
 
 CIRCULANT = "circulant inverse is ill-conditioned"

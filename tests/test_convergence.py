@@ -295,6 +295,18 @@ def test_gain_sweep_clustered_singular_values():
     assert_sweep_matches_dense(delete_initial_steps(model, circulant_inverse(model), 34), GRID)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [0.3025, 0.5, 1.0, 7.0])
+def test_krylov_restart_leaves_the_span(c):
+    # On a multiple of I every Krylov space is invariant at once. The restart
+    # vector could lie in the span (c = 0.3025, n = 4 among others) and
+    # orthogonalized to 0, so w / norm was 0/0: a NaN vector and a warning.
+    rng = np.random.default_rng(0)
+    for n in range(2, 41):
+        x = convergence._top_ritz_vector(c * np.eye(n), rng.standard_normal(n))
+        assert np.isfinite(x).all() and np.linalg.norm(x) > 0.5, n
+
+
 def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     calls = []
     eigvals = np.linalg.eigvals

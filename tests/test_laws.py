@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
+    PRESETS,
     DeletedModel,
     LearningLaw,
     accelerated_law,
@@ -16,6 +17,7 @@ from circulant_ilc import (
     scaled_inverse_circulant_law,
     signed_svd,
 )
+from oracles import accelerated_gain_by_loop
 
 N = 51
 
@@ -85,6 +87,51 @@ def test_accelerated_law_power_identity(third, power):
     law = accelerated_law(dm, power)
     E = propagation(dm, inverse_circulant_law(dm))
     assert np.max(np.abs(propagation(dm, law) - np.linalg.matrix_power(E, power))) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["third_order", "fourth_order", "fifth_order"])
+def test_accelerated_law_matches_the_term_by_term_sum(benches, name):
+    bench = benches[name]
+    for q in sorted({0, PRESETS[name].q}):
+        dm = bench.deleted(q)
+        E = propagation(dm, inverse_circulant_law(dm))
+        for power in range(1, 13):
+            gain = accelerated_law(dm, power).gain
+            oracle = accelerated_gain_by_loop(dm, power)
+            if power <= 2:  # doubling adds the same terms in the same order
+                assert np.array_equal(gain, oracle), (q, power)
+            assert np.max(np.abs(gain - oracle)) <= 1e-12 * np.max(np.abs(oracle)), (q, power)
+            # E^p reaches 1e9 on fifth_order at q = 2: the 1e-8 bound is relative beyond 1
+            Ep = np.linalg.matrix_power(E, power)
+            error = np.max(np.abs(propagation(dm, accelerated_law(dm, power)) - Ep))
+            assert error < 1e-8 * max(1.0, np.max(np.abs(Ep))), (q, power)
+
+
+class _CountedMatrix(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedMatrix.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        _CountedMatrix.products += 1
+        return super().__rmatmul__(other)
+
+
+@pytest.mark.parametrize("power, products", [(1, 2), (2, 2), (6, 6), (2**20, 2 + 19 + 19)])
+def test_accelerated_law_products(third, power, products):
+    # P Pc_inv, Pc_inv S_p, and S_p by doubling. The term-by-term sum took p - 1
+    # products for S_p: 7 in all at p = 6, the power the worst-case experiment uses.
+    dm = third.deleted(0)
+    counted = DeletedModel(
+        dm.q, dm.toeplitz.view(_CountedMatrix), dm.circulant_inverse.view(_CountedMatrix)
+    )
+    _CountedMatrix.products = 0
+    accelerated_law(counted, power)
+    assert _CountedMatrix.products == products
 
 
 def test_accelerated_law_rejects_bad_power(third):

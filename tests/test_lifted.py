@@ -19,7 +19,6 @@ from circulant_ilc import (
     circulant_inverse,
     circulant_matrix,
     delete_initial_steps,
-    dft_matrix,
     dft_verify,
     discretize_zoh,
     frequency_response,
@@ -29,6 +28,7 @@ from circulant_ilc import (
     toeplitz_matrix,
     unstable_zero_count,
 )
+from oracles import dft_matrix
 from strategies import PROPERTY, horizons, sampled_plants
 
 T = 0.02
