@@ -43,7 +43,6 @@ from .lifted import (
     toeplitz_matrix,
 )
 from .optimizer import (
-    GainRegion,
     OptimizationTrace,
     OptimizerConfig,
     SensitivityMap,

@@ -224,17 +224,13 @@ def _workspace(cfg: ExperimentConfig, plant, preset, default_q=None) -> _Workspa
 
 
 def _optimize(ws: _Workspace):
-    deleted = ws.deleted
-    region = optimizer.GainRegion.corner_blocks(
-        deleted.circulant_inverse.shape, ws.cfg.region_size
-    )
     config = optimizer.OptimizerConfig(
         iterations=ws.cfg.opt_iterations or Preset.optimizer_iterations,  # None without a preset
         weight=ws.cfg.opt_weight,
-        region=region,
+        region_size=ws.cfg.region_size,
         reselect_region=getattr(ws.preset, "reselect_region", False),
     )
-    return optimizer.optimize(deleted, config)
+    return optimizer.optimize(ws.deleted, config)
 
 
 def _optimized_law(ws: _Workspace):
@@ -390,27 +386,36 @@ _COMMANDS = {
 _DEFAULT_Q = {"analyze": 0}  # the undeleted spectrum tables; other commands use the plant's q
 
 
+def _integer(text):
+    """int(text); an unparsable value shows only its first 20 characters."""
+    try:
+        return int(text)
+    except ValueError:  # also past Python's 4300-digit limit
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid integer {shown}") from None
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("experiment")
     g.add_argument("--config", help="JSON config file; flags override its values")
     g.add_argument("--plant", help="preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
-    g.add_argument("--n", type=int, help="horizon length in steps")
+    g.add_argument("--n", type=_integer, help="horizon length in steps")
     g.add_argument("--hz", dest="sample_hz", type=float, help="sample rate in Hz")
-    g.add_argument("--q", type=int, help="deleted initial steps (analyze defaults to 0, other commands to the plant default)")
+    g.add_argument("--q", type=_integer, help="deleted initial steps (analyze defaults to 0, other commands to the plant default)")
     g.add_argument("--law", choices=laws.KINDS, help="learning law kind")
-    g.add_argument("--power", type=int, help="propagation-matrix power / accelerated-law power")
+    g.add_argument("--power", type=_integer, help="propagation-matrix power / accelerated-law power")
     g.add_argument("--phi", type=float, help="overall gain for the scaled law")
     g.add_argument("--law-gain", dest="law_gain", type=float, help="contraction-mapping gain")
     g.add_argument("--law-weight", dest="law_weight", type=float, help="quadratic-cost weight")
     g.add_argument("--opt-weight", dest="opt_weight", type=float, help="descent weight factor")
-    g.add_argument("--opt-iterations", dest="opt_iterations", type=int, help="descent iterations")
-    g.add_argument("--region-size", dest="region_size", type=int, help="corner block size for adjusted gains (presets that re-pick their region adjust as many positions)")
+    g.add_argument("--opt-iterations", dest="opt_iterations", type=_integer, help="descent iterations")
+    g.add_argument("--region-size", dest="region_size", type=_integer, help="corner block size for adjusted gains (presets that re-pick their region adjust as many positions)")
     g.add_argument("--phi-min", dest="phi_min", type=float)
     g.add_argument("--phi-max", dest="phi_max", type=float)
     g.add_argument("--phi-step", dest="phi_step", type=float)
     g.add_argument("--traj", choices=_TRAJ_CHOICES, help="desired trajectory")
-    g.add_argument("--iterations", type=int, help="learning iterations (optimize: descent iterations if --opt-iterations absent)")
+    g.add_argument("--iterations", type=_integer, help="learning iterations (optimize: descent iterations if --opt-iterations absent)")
     g.add_argument("--out", help="output directory")
 
     parser = argparse.ArgumentParser(

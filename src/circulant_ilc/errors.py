@@ -58,16 +58,12 @@ class NonFiniteGainError(NumericalDegeneracyError, ArithmeticError):
 
 
 class DegenerateSingularValueError(NumericalDegeneracyError, RuntimeError):
-    """Requested singular value is (numerically) repeated; its derivative is undefined."""
+    """sigma_1 is (numerically) repeated; its derivative is undefined."""
 
-    def __init__(self, index, gap, scale):
-        self.index = index
-        self.gap = gap
-        self.scale = scale
-        super().__init__(
-            f"singular value {index} is degenerate: gap {gap:.3e} "
-            f"below tolerance relative to sigma_1 = {scale:.3e}"
-        )
+    def __init__(self, gap, scale):
+        self.gap, self.scale = gap, scale
+        super().__init__(f"sigma_1 is degenerate: gap {gap:.3e} below tolerance "
+                         f"relative to sigma_1 = {scale:.3e}")
 
 
 class RankDeficientPlantError(NumericalDegeneracyError, ValueError):

@@ -13,7 +13,6 @@ from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
 __all__ = [
-    "GainRegion",
     "OptimizerConfig",
     "OptimizationTrace",
     "SensitivityMap",
@@ -28,67 +27,20 @@ _FLAG_FACTOR = 10.0       # column flagged when its peak sensitivity exceeds med
 
 
 @dataclass(frozen=True)
-class GainRegion:
-    """Set of (row, column) gain positions eligible for adjustment."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int)
-        cols = np.asarray(self.cols, dtype=int)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise ValueError("rows and cols must be parallel 1-D index arrays")
-        if rows.size == 0:
-            raise ValueError("region must contain at least one position")
-        if np.min(rows) < 0 or np.min(cols) < 0:
-            raise ValueError("region indices must be nonnegative")
-        if len({(int(i), int(j)) for i, j in zip(rows, cols)}) != rows.size:
-            raise ValueError("region contains duplicate positions")
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "GainRegion":
-        rows = [i for i, _ in pairs]
-        cols = [j for _, j in pairs]
-        return cls(np.array(rows, dtype=int), np.array(cols, dtype=int))
-
-    @classmethod
-    def corner_blocks(cls, shape, size: int = 5) -> "GainRegion":
-        """Union of the upper-left and upper-right size-by-size corners."""
-        nrows, ncols = shape
-        size = min(size, nrows, ncols)
-        col_set = sorted(set(range(size)) | set(range(ncols - size, ncols)))
-        pairs = [(i, j) for i in range(size) for j in col_set]
-        return cls.from_pairs(pairs)
-
-    def validate_shape(self, shape):
-        nrows, ncols = shape
-        if np.max(self.rows) >= nrows or np.max(self.cols) >= ncols:
-            raise ValueError(f"region exceeds gain matrix shape {shape}")
-
-    def __len__(self):
-        return self.rows.size
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     """Descent settings: weight factor, iteration count, adjusted region.
 
-    region defaults to the 5x5 corner blocks of the gain matrix. A fixed
-    region bounds how far sigma_1 can fall: once the dominant singular
-    vectors of I - P L peak outside it, no choice of its gains lowers sigma_1
-    further (the fifth-order benchmark's corner blocks bottom out at
-    sigma_1 = 6.50). reselect_region keeps the region's size but re-picks,
-    every iteration, the positions with the largest |sensitivity|.
+    The region is the upper-left and upper-right region_size-square corner
+    blocks of the gain matrix. A fixed region bounds how far sigma_1 can fall:
+    once the dominant singular vectors of I - P L peak outside it, no choice
+    of its gains lowers sigma_1 further (the fifth-order corner blocks bottom
+    out at sigma_1 = 6.50). reselect_region keeps the region's size but
+    re-picks, every iteration, the positions with the largest |sensitivity|.
     """
 
     iterations: int
     weight: float = 0.1
-    region: GainRegion | None = None  # None: corner blocks of the gain matrix
+    region_size: int = 5
     reselect_region: bool = False
 
     def __post_init__(self):
@@ -96,6 +48,8 @@ class OptimizerConfig:
             raise ValueError("weight factor must be positive")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.region_size < 1:
+            raise ValueError("region size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,7 +82,7 @@ def _check_gap(s: np.ndarray):
     lower = s[1] if s.size > 1 else -s[0]
     gap, scale = float(s[0] - lower), float(s[0])
     if gap <= _GAP_RTOL * scale:
-        raise DegenerateSingularValueError(0, gap, scale)
+        raise DegenerateSingularValueError(gap, scale)
 
 
 def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -183,6 +137,14 @@ def _top_positions(matrix: np.ndarray, count: int):
     return np.unravel_index(flat, matrix.shape)
 
 
+def _corner_positions(shape, size: int):
+    """Row-major (rows, cols) of the union of the upper-left and upper-right
+    size-square corners; the order sets the rounding of S @ S in descent_step."""
+    size = min(size, *shape)
+    cols = np.union1d(np.arange(size), np.arange(shape[1] - size, shape[1]))
+    return np.repeat(np.arange(size), cols.size), np.tile(cols, size)
+
+
 def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrace:
     """Iteratively adjust region gains of the deleted inverse circulant.
 
@@ -196,9 +158,7 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
     """
     P = deleted.toeplitz
     L = deleted.circulant_inverse.copy()
-    region = config.region or GainRegion.corner_blocks(L.shape)
-    region.validate_shape(L.shape)
-    rows, cols = region.rows, region.cols
+    rows, cols = _corner_positions(L.shape, config.region_size)
 
     sigma = np.empty(config.iterations + 1)
     rho = np.empty(config.iterations + 1)
@@ -219,7 +179,7 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
             break
         grad = -np.outer(P.T @ U[:, 0], Vt[0])
         if config.reselect_region:
-            rows, cols = _top_positions(grad, len(region))
+            rows, cols = _top_positions(grad, rows.size)
         L[rows, cols] += descent_step(s[0], grad[rows, cols], config.weight)
 
     law = LearningLaw(

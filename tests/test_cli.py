@@ -28,14 +28,17 @@ from circulant_ilc import (
     NumericalDegeneracyError,
     OptimizerConfig,
     circulant_inverse,
+    contraction_mapping_law,
     delete_initial_steps,
     discretize_zoh,
+    error_propagation,
     RankDeficientPlantError,
     optimize,
     realize,
 )
 from circulant_ilc import cli as cli_module
 from circulant_ilc.cli import _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, build_config, main
+from circulant_ilc.exports import fmt
 from circulant_ilc.laws import KINDS
 from strategies import PROPERTY
 
@@ -78,7 +81,7 @@ def degenerate_stub(monkeypatch):
         rho=np.array([1.0]),
         gain=np.eye(51, 50),
         law=LearningLaw(np.eye(51, 50), "optimized_inverse_circulant", 1),
-        diagnostic=DegenerateSingularValueError(0, 1.234e-09, 1.0),
+        diagnostic=DegenerateSingularValueError(1.234e-09, 1.0),
     )
     monkeypatch.setattr(cli_module, "_optimize", lambda ws: stub)
 
@@ -173,6 +176,13 @@ def test_optimize_fifth_order_uses_preset_region_policy(tmp_path):
     assert run(["optimize", "--opt-iterations", 2, "--out", fixed]) == 0
     meta = json.loads((fixed / "optimize_meta.json").read_text())
     assert meta["resolved"]["reselect_region"] is False
+
+
+def test_optimize_region_size_flag_matches_the_api(tmp_path, third):
+    assert run(["optimize", "--region-size", 3, "--opt-iterations", 5, "--out", tmp_path]) == 0
+    trace = optimize(third.deleted(1), OptimizerConfig(iterations=5, region_size=3))
+    written = np.loadtxt(tmp_path / "law_optimized_inverse_circulant_N51_q1.csv", delimiter=",")
+    assert np.array_equal(written, trace.gain)
 
 
 def test_optimize_rejects_zero_iterations(tmp_path, capsys):
@@ -739,8 +749,25 @@ def test_plant_and_config_files_fail_closed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys):
+def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys, third):
     # the entries are finite, only the Frobenius norm overflows: not a degeneracy
     assert run(["analyze", "--law", "contraction_mapping", "--law-gain", 1e308,
                 "--out", tmp_path]) == 0
-    assert capsys.readouterr().out.startswith("sigma_max = 9.1155135153523612e+307  ")
+    # the last digits are the BLAS kernel's, so the oracle is a dense SVD of the same map
+    P = third.deleted(0).toeplitz
+    E = error_propagation(P, contraction_mapping_law(P, 1e308))
+    with np.errstate(over="ignore"):
+        assert np.isfinite(E).all() and np.linalg.norm(E) == np.inf
+    sigma_max = np.linalg.svd(E, compute_uv=False)[0]
+    assert capsys.readouterr().out.startswith(f"sigma_max = {fmt(sigma_max)}  ")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--q", "--power", "--opt-iterations", "--region-size",
+                                  "--iterations"])
+def test_unparsable_integer_flag_is_compact(tmp_path, capsys, flag):
+    # argparse echoed the whole value: 5,201 bytes of stderr for 4301 digits
+    with pytest.raises(SystemExit) as exit_info:
+        run(["analyze", flag, "1" + "0" * 4300, "--out", tmp_path])
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: invalid integer '1000" in last and len(last.encode()) < 200, last

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from circulant_ilc import (
     DegenerateSingularValueError,
     DeletedModel,
-    GainRegion,
     IllConditionedCirculantError,
     LiftedModel,
     OptimizerConfig,
@@ -24,6 +23,7 @@ from circulant_ilc import (
     sensitivity_map,
     sensitivity_matrix,
 )
+from circulant_ilc.optimizer import _corner_positions
 from strategies import PROPERTY, horizons, sampled_plants
 
 
@@ -40,25 +40,37 @@ def fd_sensitivity(P, L, i, j, k=0, step=1e-6):
     return (sigma(up) - sigma(down)) / (2 * step)
 
 
-def test_region_validation():
-    with pytest.raises(ValueError):
-        GainRegion(np.array([0, 0]), np.array([1, 1]))  # duplicate
-    with pytest.raises(ValueError):
-        GainRegion(np.array([-1]), np.array([0]))
-    with pytest.raises(ValueError):
-        GainRegion(np.array([], dtype=int), np.array([], dtype=int))
-    region = GainRegion.corner_blocks((51, 50))
-    assert len(region) == 50
-    assert set(region.rows) == set(range(5))
-    assert set(region.cols) == set(range(5)) | set(range(45, 50))
-    with pytest.raises(ValueError):
-        region.validate_shape((4, 50))
+def corner_mask(shape, k):
+    """Oracle: the upper-left and upper-right k-square corners, overlap counted once."""
+    rows, cols = np.indices(shape)
+    return (rows < k) & ((cols < k) | (cols >= shape[1] - k))
 
 
-def test_region_corner_blocks_overlap_dedup():
-    region = GainRegion.corner_blocks((6, 7), size=5)
-    pairs = set(zip(region.rows.tolist(), region.cols.tolist()))
-    assert len(pairs) == len(region) == 5 * 7  # columns 0-4 and 2-6 overlap
+def small_model(seed=11):
+    """A 6 x 7 gain on a 7 x 6 plant: the two 5-square corners share columns 2-4."""
+    rng = np.random.default_rng(seed)
+    P = np.eye(7, 6) + 0.3 * rng.standard_normal((7, 6))
+    L = np.linalg.pinv(P) + 0.3 * rng.standard_normal((6, 7))
+    return DeletedModel(q=0, toeplitz=P, circulant_inverse=L)
+
+
+# side 5 on the 51 x 50 preset gain is the default, which test_optimize_only_touches_region_gains runs
+@pytest.mark.parametrize("k, overlap", [(1, False), (5, True)], ids=["side1", "side5_overlap"])
+def test_region_size_sets_the_corner_blocks(third, k, overlap):
+    dm = small_model() if overlap else third.deleted(1)
+    trace = optimize(dm, OptimizerConfig(iterations=3, region_size=k))
+    assert trace.diagnostic is None
+    changed = trace.gain != dm.circulant_inverse
+    mask = corner_mask(changed.shape, k)
+    assert np.array_equal(changed, mask)
+    assert mask.sum() == (5 * 7 if overlap else 2 * k * k)
+    rows, cols = _corner_positions(changed.shape, k)  # the descent's own order: row-major
+    assert np.array_equal(np.ravel_multi_index((rows, cols), mask.shape), np.flatnonzero(mask))
+
+
+def test_region_size_must_be_positive():
+    with pytest.raises(ValueError, match="region size"):
+        OptimizerConfig(iterations=1, region_size=0)
 
 
 def test_config_validation():
@@ -135,11 +147,11 @@ def test_sensitivity_matches_finite_differences_benchmarks(benches, name, q):
     P = dm.toeplitz
     L = dm.circulant_inverse
     S = sensitivity_matrix(P, L)
-    region = GainRegion.corner_blocks(L.shape)
+    rows, cols = _corner_positions(L.shape, 5)
     rng = np.random.default_rng(23)
-    picks = rng.choice(len(region), size=10, replace=False)
+    picks = rng.choice(rows.size, size=10, replace=False)
     for idx in picks:
-        i, j = int(region.rows[idx]), int(region.cols[idx])
+        i, j = int(rows[idx]), int(cols[idx])
         oracle = fd_sensitivity(P, L.copy(), i, j)
         denom = max(abs(oracle), 1e-12)
         assert abs(S[i, j] - oracle) / denom < 1e-4
@@ -195,9 +207,7 @@ def test_optimize_only_touches_region_gains(third):
     dm = third.deleted(1)
     trace = optimize(dm, OptimizerConfig(iterations=5))
     delta = trace.gain - dm.circulant_inverse
-    mask = np.zeros_like(delta, dtype=bool)
-    region = GainRegion.corner_blocks(delta.shape)
-    mask[region.rows, region.cols] = True
+    mask = corner_mask(delta.shape, 5)  # the default region_size
     assert np.all(delta[~mask] == 0)
     assert np.any(delta[mask] != 0)
 
@@ -233,15 +243,6 @@ def test_optimize_stops_on_degenerate_spectrum():
     trace = optimize(dm, OptimizerConfig(iterations=50))
     assert trace.diagnostic is not None
     assert trace.sigma.shape == (1,)
-
-
-def test_optimize_respects_custom_region(third):
-    dm = third.deleted(1)
-    region = GainRegion.from_pairs([(0, 0), (1, 1)])
-    trace = optimize(dm, OptimizerConfig(iterations=5, region=region))
-    delta = trace.gain - dm.circulant_inverse
-    touched = np.argwhere(delta != 0)
-    assert {tuple(t) for t in touched} <= {(0, 0), (1, 1)}
 
 
 def test_optimize_benchmark_endpoint_neighborhoods(optimized):
