@@ -309,11 +309,12 @@ def cmd_simulate(ws: _Workspace):
     """A diverging run writes its finite iterations and returns the error
     naming the first non-finite one."""
     cfg = ws.cfg
-    diverged = None
+    resolved, diverged = {"traj": cfg.traj}, None
     try:
         if cfg.traj == "worst_case":
             power = cfg.power if cfg.power > 1 else 6
             law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
+            resolved["power"] = law.params["power"]
             result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
         else:
             law = _LAWS[cfg.law](ws)
@@ -330,7 +331,7 @@ def cmd_simulate(ws: _Workspace):
     )
     if diverged is None:
         print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
-    return {"q": result.q, "law": result.law_kind, "traj": cfg.traj}, diverged
+    return {**resolved, "q": result.q, "law": result.law_kind}, diverged
 
 
 def cmd_compare(ws: _Workspace):
@@ -404,7 +405,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--hz", dest="sample_hz", type=float, help="sample rate in Hz")
     g.add_argument("--q", type=_integer, help="deleted initial steps (analyze defaults to 0, other commands to the plant default)")
     g.add_argument("--law", choices=laws.KINDS, help="learning law kind")
-    g.add_argument("--power", type=_integer, help="propagation-matrix power / accelerated-law power")
+    g.add_argument("--power", type=_integer, help="propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)")
     g.add_argument("--phi", type=float, help="overall gain for the scaled law")
     g.add_argument("--law-gain", dest="law_gain", type=float, help="contraction-mapping gain")
     g.add_argument("--law-weight", dest="law_weight", type=float, help="quadratic-cost weight")

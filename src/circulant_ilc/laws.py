@@ -50,10 +50,6 @@ class LearningLaw:
         g.flags.writeable = False
         object.__setattr__(self, "gain", g)
 
-    @property
-    def shape(self):
-        return self.gain.shape
-
 
 def signed_svd(matrix: np.ndarray):
     """SVD with a fixed sign convention.

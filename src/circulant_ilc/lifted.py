@@ -77,10 +77,6 @@ class LiftedModel:
             a.flags.writeable = False
         return cls(plant=plant, horizon=horizon, **fields)
 
-    @property
-    def period(self):
-        return self.plant.period
-
 
 @dataclass(frozen=True)
 class DeletedModel:
@@ -94,18 +90,14 @@ class DeletedModel:
     toeplitz: np.ndarray
     circulant_inverse: np.ndarray
 
-    @property
-    def horizon(self):
-        return self.toeplitz.shape[1]
-
 
 @dataclass(frozen=True)
 class DiagonalizationReport:
     """Result of conjugating the circulant by the DFT matrix.
 
     diagonal: the N complex diagonal entries of H Pc H^-1.
-    transfer: C (zI - A)^-1 B at z = z0^j for each observable frequency.
-    aligned_error: |diagonal - z * transfer| per frequency. The circulant's
+    aligned_error: |diagonal - z * transfer| per frequency z = z0^j, where
+        transfer is C (zI - A)^-1 B, the frequency response. The circulant's
         eigenvalues carry the raw Markov sequence, one sample ahead of the
         delayed input-to-output response, hence the z factor.
     tail_norm: spectral norm of A^(N-1), the truncation scale of the match.
@@ -113,7 +105,6 @@ class DiagonalizationReport:
 
     max_offdiag: float
     diagonal: np.ndarray
-    transfer: np.ndarray
     aligned_error: np.ndarray
     tail_norm: float
 
@@ -136,7 +127,6 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     return DiagonalizationReport(
         max_offdiag=float(np.max(np.abs(off))),
         diagonal=diagonal,
-        transfer=transfer,
         aligned_error=aligned,
         tail_norm=float(tail),
     )

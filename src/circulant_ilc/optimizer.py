@@ -63,17 +63,19 @@ class OptimizationTrace:
 
     sigma: np.ndarray
     rho: np.ndarray
-    gain: np.ndarray
     law: LearningLaw
     diagnostic: DegenerateSingularValueError | None = None
+
+    @property
+    def gain(self):
+        return self.law.gain
 
 
 @dataclass(frozen=True)
 class SensitivityMap:
-    """Full sensitivity surface of sigma_1 with per-column peak scores."""
+    """Full sensitivity surface of sigma_1 and the columns whose peak stands out."""
 
     matrix: np.ndarray
-    column_scores: np.ndarray
     flagged_columns: np.ndarray
 
 
@@ -98,18 +100,16 @@ def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return -np.outer(p_matrix.T @ U[:, 0], Vt[0, :])
 
 
-def sensitivity_map(deleted: DeletedModel, gain: np.ndarray | None = None) -> SensitivityMap:
-    """Full sigma_1 sensitivity surface for the (default inverse-circulant) gain.
+def sensitivity_map(deleted: DeletedModel) -> SensitivityMap:
+    """Full sigma_1 sensitivity surface for the deleted inverse-circulant gain.
 
     Columns whose peak absolute sensitivity exceeds the median tenfold are
     flagged; for the benchmark plants these concentrate at the matrix edges.
     """
-    if gain is None:
-        gain = deleted.circulant_inverse
-    matrix = sensitivity_matrix(deleted.toeplitz, gain)
+    matrix = sensitivity_matrix(deleted.toeplitz, deleted.circulant_inverse)
     scores = np.max(np.abs(matrix), axis=0)
     flagged = np.where(scores > _FLAG_FACTOR * np.median(scores))[0]
-    return SensitivityMap(matrix=matrix, column_scores=scores, flagged_columns=flagged)
+    return SensitivityMap(matrix=matrix, flagged_columns=flagged)
 
 
 def descent_step(sigma: float, sensitivities: np.ndarray, weight: float) -> np.ndarray:
@@ -188,6 +188,4 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
         deleted.q,
         params={"weight": config.weight, "iterations": config.iterations},
     )
-    return OptimizationTrace(
-        sigma=sigma[:done], rho=rho[:done], gain=law.gain, law=law, diagnostic=diagnostic
-    )
+    return OptimizationTrace(sigma=sigma[:done], rho=rho[:done], law=law, diagnostic=diagnostic)

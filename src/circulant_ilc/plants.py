@@ -64,12 +64,8 @@ def _readonly(a):
 
 
 @dataclass(frozen=True)
-class ContinuousStateSpace:
-    """Strictly proper continuous-time realization dx/dt = A x + B u, y = C x.
-
-    Realizations of a ContinuousPlant are always strictly stable; marginal
-    systems (an integrator, say) are still representable for direct use.
-    """
+class _StateSpace:
+    """A state-space triple held as read-only copies: B a column, C a row."""
 
     A: np.ndarray
     B: np.ndarray
@@ -86,24 +82,24 @@ class ContinuousStateSpace:
 
 
 @dataclass(frozen=True)
-class DiscretePlant:
+class ContinuousStateSpace(_StateSpace):
+    """Strictly proper continuous-time realization dx/dt = A x + B u, y = C x.
+
+    Realizations of a ContinuousPlant are always strictly stable; marginal
+    systems (an integrator, say) are still representable for direct use.
+    """
+
+
+@dataclass(frozen=True)
+class DiscretePlant(_StateSpace):
     """Sampled system x(k+1) = A x(k) + B u(k), y(k) = C x(k), sample period T."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
     period: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _readonly(self.A))
-        object.__setattr__(self, "B", _readonly(np.reshape(self.B, (-1, 1))))
-        object.__setattr__(self, "C", _readonly(np.reshape(self.C, (1, -1))))
+        super().__post_init__()
         if self.period <= 0:
             raise ValueError("sample period must be positive")
-
-    @property
-    def order(self):
-        return self.A.shape[0]
 
 
 def _series(first, second):
@@ -209,14 +205,13 @@ def unstable_zero_count(plant: DiscretePlant) -> int:
 
 @dataclass(frozen=True)
 class Preset:
-    """Named benchmark configuration: plant plus its experiment defaults.
+    """Benchmark configuration, named by its PRESETS key: plant plus its experiment defaults.
 
     reselect_region is the descent's region policy: False adjusts the fixed
     corner blocks, True re-picks the most sensitive positions every iteration
     (see OptimizerConfig).
     """
 
-    name: str
     plant: ContinuousPlant
     sample_hz: float = 50.0
     horizon: int = 51
@@ -227,18 +222,15 @@ class Preset:
 
 PRESETS = {
     "third_order": Preset(
-        "third_order",
         ContinuousPlant(first_order=(8.8,), second_order=((37.0, 0.5),)),
         q=1,
     ),
     "fourth_order": Preset(
-        "fourth_order",
         ContinuousPlant(second_order=((37.0, 0.5), (74.0, 0.5))),
         q=2,
         optimizer_iterations=10000,
     ),
     "fifth_order": Preset(
-        "fifth_order",
         ContinuousPlant(first_order=(8.8,), second_order=((37.0, 0.5), (74.0, 0.5))),
         q=2,
         optimizer_iterations=10000,

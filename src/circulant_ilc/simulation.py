@@ -24,7 +24,6 @@ class Trajectory:
 
     samples: np.ndarray
     label: str
-    period: float
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
@@ -55,7 +54,7 @@ def make_trajectory(label: str, plant: DiscretePlant, horizon: int) -> Trajector
     if label not in _BENCHMARKS:
         raise ValueError(f"unknown trajectory {label!r}; pick one of {sorted(_BENCHMARKS)}")
     t = np.arange(1, horizon + 1) * plant.period
-    return Trajectory(_BENCHMARKS[label](t), label, plant.period)
+    return Trajectory(_BENCHMARKS[label](t), label)
 
 
 @dataclass(frozen=True)
@@ -147,5 +146,5 @@ def worst_case_experiment(
     if law.q != 0:
         raise ValueError("worst-case experiment needs a law on the non-deleted model")
     _, _, Vt = signed_svd(error_propagation(model.toeplitz, law))
-    trajectory = Trajectory(Vt[0, :], "custom", model.period)
+    trajectory = Trajectory(Vt[0, :], "custom")
     return run_ilc(model, law, trajectory, iterations)

@@ -79,7 +79,6 @@ def degenerate_stub(monkeypatch):
     stub = OptimizationTrace(
         sigma=np.array([1.0]),
         rho=np.array([1.0]),
-        gain=np.eye(51, 50),
         law=LearningLaw(np.eye(51, 50), "optimized_inverse_circulant", 1),
         diagnostic=DegenerateSingularValueError(1.234e-09, 1.0),
     )
@@ -253,6 +252,15 @@ def test_simulate_worst_case_stalls(tmp_path):
     _, rows = read_csv(tmp_path / "rms.csv")
     rms = [float(r[1]) for r in rows]
     assert abs(rms[-1] / rms[1] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("flag, power", [([], 6), (["--power", 3], 3), (["--power", 1], 6)])
+def test_simulate_worst_case_records_the_power_it_ran(tmp_path, flag, power):
+    # the config default power is 1; the worst-case run takes the paper's 6 for any power <= 1
+    assert run(["simulate", "--traj", "worst_case", "--iterations", 2, *flag,
+                "--out", tmp_path]) == 0
+    meta = json.loads((tmp_path / "simulate_meta.json").read_text())
+    assert meta["resolved"]["power"] == power
 
 
 def test_compare_emits_four_law_columns(tmp_path):

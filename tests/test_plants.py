@@ -43,6 +43,21 @@ def integrate_staircase(css, inputs, period, rtol=1e-11, atol=1e-13):
     return np.array(outputs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [ContinuousStateSpace, lambda A, B, C: DiscretePlant(A, B, C, T)],
+    ids=["continuous", "discrete"],
+)
+def test_state_space_stores_read_only_column_b_and_row_c(make):
+    A = np.array([[0.5, 0.1], [0.0, 0.25]])
+    sys = make(A, [1.0, 2.0], [3.0, 4.0])
+    assert sys.B.shape == (2, 1) and sys.C.shape == (1, 2) and sys.order == 2
+    for stored in (sys.A, sys.B, sys.C):
+        assert not stored.flags.writeable
+    A[0, 0] = 99.0
+    assert sys.A[0, 0] == 0.5
+
+
 def test_plant_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
         ContinuousPlant(first_order=(-1.0,))

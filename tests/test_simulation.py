@@ -79,7 +79,7 @@ def test_exact_inverse_converges_in_one_shot():
     plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
     model = LiftedModel.build(plant, 5)
     law = LearningLaw(np.linalg.inv(model.toeplitz), "inverse_circulant", 0)
-    traj = Trajectory(np.array([1.0, 2.0, 0.5, -1.0, 0.0]), "custom", T)
+    traj = Trajectory(np.array([1.0, 2.0, 0.5, -1.0, 0.0]), "custom")
     result = run_ilc(model, law, traj, 2)
     assert np.max(np.abs(result.errors[1])) < 1e-12
     assert np.max(np.abs(result.errors[2])) < 1e-12
@@ -159,7 +159,7 @@ def test_zero_error_is_a_fixed_point(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)
     u_star = np.linalg.lstsq(third.model.toeplitz, np.ones(N), rcond=None)[0]
-    traj = Trajectory(third.model.toeplitz @ u_star, "custom", T)
+    traj = Trajectory(third.model.toeplitz @ u_star, "custom")
     result = run_ilc(third.model, law, traj, 3, initial_input=u_star)
     assert np.max(np.abs(result.errors)) == 0
     for j in range(4):
@@ -185,9 +185,7 @@ def test_deleted_steps_never_enter_the_update(third):
     law = inverse_circulant_law(dm)
     traj = make_trajectory("yd1", third.plant, N)
     base = run_ilc(third.model, law, traj, 5)
-    bumped = Trajectory(
-        np.concatenate([[traj.samples[0] + 123.0], traj.samples[1:]]), "custom", T
-    )
+    bumped = Trajectory(np.concatenate([[traj.samples[0] + 123.0], traj.samples[1:]]), "custom")
     perturbed = run_ilc(third.model, law, bumped, 5)
     assert np.array_equal(base.inputs, perturbed.inputs)
     assert np.array_equal(base.errors, perturbed.errors)
@@ -199,7 +197,7 @@ def test_initial_state_enters_through_observability(third):
     law = scaled_inverse_circulant_law(dm, 0.0)
     rng = np.random.default_rng(17)
     x0 = rng.standard_normal(third.plant.order)
-    traj = Trajectory(np.zeros(N), "custom", T)
+    traj = Trajectory(np.zeros(N), "custom")
     result = run_ilc(third.model, law, traj, 0, initial_state=x0)
     assert_allclose(result.errors[0], -(third.model.observability @ x0), atol=1e-12)
 
@@ -208,7 +206,7 @@ def test_run_rejects_mismatched_shapes(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)
     with pytest.raises(ValueError):
-        run_ilc(third.model, law, Trajectory(np.zeros(N - 1), "custom", T), 3)
+        run_ilc(third.model, law, Trajectory(np.zeros(N - 1), "custom"), 3)
 
 
 def test_worst_case_rms_is_flat(third):
@@ -225,7 +223,7 @@ def test_second_singular_direction_learns_immediately(third):
     law = accelerated_law(dm, 6)
     E = error_propagation(dm.toeplitz, law)
     _, _, Vt = signed_svd(E)
-    traj = Trajectory(Vt[1, :], "custom", T)
+    traj = Trajectory(Vt[1, :], "custom")
     result = run_ilc(third.model, law, traj, 3)
     assert result.rms[1] / result.rms[0] < 1e-4
 
