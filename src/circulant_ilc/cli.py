@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,32 +27,39 @@ __all__ = ["main", "ExperimentConfig", "build_config"]
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
 _MAX_SWEEP_POINTS = 100_000
 # One memory budget bounds the work fields: 2**24 float64 entries (128 MiB) in the
-# N x N lifted matrices, the (iterations + 1) x N learning record and the descent trace.
+# N x N lifted matrices, the two (iterations + 1) x N learning histories (the inputs,
+# and the errors with the deleted steps' errors) and the descent trace.
 _MAX_ENTRIES = 2**24
+
+
+def _setting(default, help=None, *, flag=None, choices=None):
+    """A config field that declares its command-line flag (default --name-with-dashes)."""
+    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings shared by all commands."""
+    """Resolved experiment settings shared by all commands, each with its flag."""
 
-    plant: object = "third_order"   # preset name or inline plant spec dict
-    n: int = 51
-    sample_hz: float = 50.0
-    q: int | None = None            # None: command-specific default
-    law: str = "inverse_circulant"
-    power: int = 1
-    phi: float = 1.0
-    law_gain: float = 1.0
-    law_weight: float = 1.0
-    opt_weight: float = 0.1
-    opt_iterations: int | None = None
-    region_size: int = 5
-    phi_min: float = -1.0
-    phi_max: float = 2.0
-    phi_step: float = 0.05
-    traj: str = "yd1"
-    iterations: int = 100
-    out: str = "."
+    # a config file may also give an inline plant spec dict
+    plant: object = _setting("third_order", "preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
+    n: int = _setting(51, "horizon length in steps")
+    sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz")
+    q: int | None = _setting(None, "deleted initial steps (analyze defaults to 0, other commands to the plant default)")
+    law: str = _setting("inverse_circulant", "learning law kind", choices=laws.KINDS)
+    power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)")
+    phi: float = _setting(1.0, "overall gain for the scaled law")
+    law_gain: float = _setting(1.0, "contraction-mapping gain")
+    law_weight: float = _setting(1.0, "quadratic-cost weight")
+    opt_weight: float = _setting(0.1, "descent weight factor")
+    opt_iterations: int | None = _setting(None, "descent iterations")  # None: the plant's
+    region_size: int = _setting(5, "corner block size for adjusted gains (presets that re-pick their region adjust as many positions)")
+    phi_min: float = _setting(-1.0)
+    phi_max: float = _setting(2.0)
+    phi_step: float = _setting(0.05)
+    traj: str = _setting("yd1", "desired trajectory", choices=_TRAJ_CHOICES)
+    iterations: int = _setting(100, "learning iterations (optimize: descent iterations if --opt-iterations absent)")
+    out: str = _setting(".", "output directory")
 
 
 def _is_number(value):
@@ -83,7 +90,8 @@ def _parse_plant_dict(spec):
         plant = ContinuousPlant(tuple(first), tuple((s["omega"], s["zeta"]) for s in second))
     except ValueError as exc:
         raise ConfigError("plant", str(exc)) from None
-    return plant, spec.get("sample_hz"), spec.get("N")
+    defaults = {"sample_hz": spec.get("sample_hz"), "horizon": spec.get("N")}
+    return Preset(plant, **{name: value for name, value in defaults.items() if value is not None})
 
 
 def _read_json(field, source):
@@ -94,16 +102,16 @@ def _read_json(field, source):
         raise ConfigError(field, f"cannot read JSON from {source!r}: {exc}") from None
 
 
-def _resolve_plant(source):
-    """Return (ContinuousPlant, default hz, default N, Preset or None)."""
+def _resolve_plant(source) -> Preset:
+    """The named preset, or the plant spec's plant with its sample_hz and N
+    (unchecked here: the config validates them as sample_hz and n)."""
     if isinstance(source, str) and source in PRESETS:
-        p = PRESETS[source]
-        return p.plant, p.sample_hz, p.horizon, p
+        return PRESETS[source]
     if isinstance(source, str):
         if not Path(source).exists():
             raise ConfigError("plant", f"{source!r} is not a preset or an existing file")
         source = _read_json("plant", source)
-    return (*_parse_plant_dict(source), None)
+    return _parse_plant_dict(source)
 
 
 def build_config(args=None, file_config=None) -> ExperimentConfig:
@@ -112,7 +120,7 @@ def build_config(args=None, file_config=None) -> ExperimentConfig:
 
 
 def _configure(args, file_config):
-    """The validated config plus the plant and Preset (or None) it resolved."""
+    """The validated config plus the Preset its plant resolved to."""
     merged = {}
     if file_config is not None:
         if not isinstance(file_config, dict):
@@ -128,16 +136,15 @@ def _configure(args, file_config):
                 merged[name] = value
 
     plant_source = merged.get("plant", ExperimentConfig.plant)
-    plant, hz_default, n_default, preset = _resolve_plant(plant_source)
-    for name, value in (("sample_hz", hz_default), ("n", n_default)):
-        if value is not None:
-            merged.setdefault(name, value)
-    if merged.get("opt_iterations") is None and preset is not None:
+    preset = _resolve_plant(plant_source)
+    merged.setdefault("sample_hz", preset.sample_hz)
+    merged.setdefault("n", preset.horizon)
+    if merged.get("opt_iterations") is None:
         merged["opt_iterations"] = preset.optimizer_iterations
 
     cfg = ExperimentConfig(**{**merged, "plant": plant_source})
     _validate(cfg)
-    return cfg, plant, preset
+    return cfg, preset
 
 
 def _validate(cfg: ExperimentConfig):
@@ -151,17 +158,17 @@ def _validate(cfg: ExperimentConfig):
                 raise ConfigError(f.name, f"must be a finite number, got {value!r}")
         elif f.type is str and not isinstance(value, str):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
+        if f.metadata["choices"] and value not in f.metadata["choices"]:
+            raise ConfigError(f.name, f"must be one of {f.metadata['choices']}")
     if cfg.n < 1:
         raise ConfigError("n", "horizon must be at least 1")
     if not (cfg.sample_hz > 0 and np.isfinite(1.0 / cfg.sample_hz)):
         raise ConfigError("sample_hz", "sample rate must be positive, with a finite period")
-    if cfg.law not in _LAWS:
-        raise ConfigError("law", f"must be one of {tuple(_LAWS)}")
     if cfg.power < 1:
         raise ConfigError("power", "must be at least 1")
     if cfg.opt_weight <= 0:
         raise ConfigError("opt_weight", "must be positive")
-    if cfg.opt_iterations is not None and cfg.opt_iterations < 1:
+    if cfg.opt_iterations < 1:
         raise ConfigError("opt_iterations", "must be at least 1")
     if cfg.law_weight <= 0:
         raise ConfigError("law_weight", "must be positive")
@@ -174,15 +181,13 @@ def _validate(cfg: ExperimentConfig):
     steps = (cfg.phi_max - cfg.phi_min) / cfg.phi_step
     if steps > _MAX_SWEEP_POINTS - 1:
         raise ConfigError("phi_step", f"{steps:.3g} grid steps exceed {_MAX_SWEEP_POINTS} points")
-    if cfg.traj not in _TRAJ_CHOICES:
-        raise ConfigError("traj", f"must be one of {_TRAJ_CHOICES}")
     if cfg.iterations < 0:
         raise ConfigError("iterations", "must be nonnegative")
-    # the largest value whose arrays fit: n^2, (iterations + 1) n or opt_iterations + 1 entries
+    # the largest value whose arrays fit: n^2, 2 (iterations + 1) n or opt_iterations + 1 entries
     for name, value, limit in (
         ("n", cfg.n, math.isqrt(_MAX_ENTRIES)),
-        ("iterations", cfg.iterations, _MAX_ENTRIES // cfg.n - 1),
-        ("opt_iterations", cfg.opt_iterations or 0, _MAX_ENTRIES - 1),
+        ("iterations", cfg.iterations, _MAX_ENTRIES // (2 * cfg.n) - 1),
+        ("opt_iterations", cfg.opt_iterations, _MAX_ENTRIES - 1),
     ):
         if value > limit:  # the limit, not the value: an int can have 4300 digits
             raise ConfigError(name, f"at most {limit} fits the {_MAX_ENTRIES}-entry memory budget")
@@ -195,21 +200,21 @@ class _Workspace:
     """One run's config, models and output directory, shared by the command handlers."""
 
     cfg: ExperimentConfig
-    preset: Preset | None
+    preset: Preset
     model: LiftedModel
     inverse: np.ndarray
     deleted: DeletedModel
     out: Path
 
 
-def _workspace(cfg: ExperimentConfig, plant, preset, default_q=None) -> _Workspace:
+def _workspace(cfg: ExperimentConfig, preset: Preset, default_q=None) -> _Workspace:
     """Deletion count: explicit --q, else the command default (analyze: 0),
-    else the preset's q, else the plant's unstable zero count."""
-    discrete = discretize_zoh(realize(plant), 1.0 / cfg.sample_hz)
+    else the preset's q, else (q None) the plant's unstable zero count."""
+    discrete = discretize_zoh(realize(preset.plant), 1.0 / cfg.sample_hz)
     model = LiftedModel.build(discrete, cfg.n)
     inverse = circulant_inverse(model)
     q = cfg.q if cfg.q is not None else default_q
-    if q is None and preset is not None:
+    if q is None:
         q = preset.q
     try:
         deleted = delete_initial_steps(model, inverse, q)  # q None: unstable zero count
@@ -225,10 +230,10 @@ def _workspace(cfg: ExperimentConfig, plant, preset, default_q=None) -> _Workspa
 
 def _optimize(ws: _Workspace):
     config = optimizer.OptimizerConfig(
-        iterations=ws.cfg.opt_iterations or Preset.optimizer_iterations,  # None without a preset
+        iterations=ws.cfg.opt_iterations,
         weight=ws.cfg.opt_weight,
         region_size=ws.cfg.region_size,
-        reselect_region=getattr(ws.preset, "reselect_region", False),
+        reselect_region=ws.preset.reselect_region,
     )
     return optimizer.optimize(ws.deleted, config)
 
@@ -301,7 +306,7 @@ def cmd_optimize(ws: _Workspace):
     )
     if trace.diagnostic is None:
         print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
-    resolved = {"q": ws.deleted.q, "reselect_region": getattr(ws.preset, "reselect_region", False)}
+    resolved = {"q": ws.deleted.q, "reselect_region": ws.preset.reselect_region}
     return resolved, trace.diagnostic
 
 
@@ -341,14 +346,13 @@ def cmd_compare(ws: _Workspace):
     )
     compared = [_LAWS[kind](ws) for kind in kinds]
     traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
-    results = [simulation.run_ilc(ws.model, law, traj, cfg.iterations) for law in compared]
-    header = ["iteration"] + [f"rms_{r.law_kind}" for r in results]
-    rows = [
-        [j] + [r.rms[j] for r in results] for j in range(cfg.iterations + 1)
-    ]
+    # only the rms: one run's histories are live at a time
+    rms = {law.kind: simulation.run_ilc(ws.model, law, traj, cfg.iterations).rms for law in compared}
+    header = ["iteration"] + [f"rms_{kind}" for kind in rms]
+    rows = [[j] + [r[j] for r in rms.values()] for j in range(cfg.iterations + 1)]
     write_rows(ws.out / "compare.csv", header, rows)
-    print("  ".join(f"{r.law_kind}: rms[-1]={fmt(r.rms[-1])}" for r in results))
-    return {"q": ws.deleted.q, "laws": [r.law_kind for r in results], "traj": cfg.traj}, None
+    print("  ".join(f"{kind}: rms[-1]={fmt(r[-1])}" for kind, r in rms.items()))
+    return {"q": ws.deleted.q, "laws": list(rms), "traj": cfg.traj}, None
 
 
 def cmd_sweep(ws: _Workspace):
@@ -396,28 +400,21 @@ def _integer(text):
         raise argparse.ArgumentTypeError(f"invalid integer {shown}") from None
 
 
+_FLAG_TYPES = {int: _integer, int | None: _integer, float: float}  # other fields: the string
+
+
+def _flag(setting) -> str:
+    """The command-line flag of an ExperimentConfig field."""
+    return setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("experiment")
     g.add_argument("--config", help="JSON config file; flags override its values")
-    g.add_argument("--plant", help="preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
-    g.add_argument("--n", type=_integer, help="horizon length in steps")
-    g.add_argument("--hz", dest="sample_hz", type=float, help="sample rate in Hz")
-    g.add_argument("--q", type=_integer, help="deleted initial steps (analyze defaults to 0, other commands to the plant default)")
-    g.add_argument("--law", choices=laws.KINDS, help="learning law kind")
-    g.add_argument("--power", type=_integer, help="propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)")
-    g.add_argument("--phi", type=float, help="overall gain for the scaled law")
-    g.add_argument("--law-gain", dest="law_gain", type=float, help="contraction-mapping gain")
-    g.add_argument("--law-weight", dest="law_weight", type=float, help="quadratic-cost weight")
-    g.add_argument("--opt-weight", dest="opt_weight", type=float, help="descent weight factor")
-    g.add_argument("--opt-iterations", dest="opt_iterations", type=_integer, help="descent iterations")
-    g.add_argument("--region-size", dest="region_size", type=_integer, help="corner block size for adjusted gains (presets that re-pick their region adjust as many positions)")
-    g.add_argument("--phi-min", dest="phi_min", type=float)
-    g.add_argument("--phi-max", dest="phi_max", type=float)
-    g.add_argument("--phi-step", dest="phi_step", type=float)
-    g.add_argument("--traj", choices=_TRAJ_CHOICES, help="desired trajectory")
-    g.add_argument("--iterations", type=_integer, help="learning iterations (optimize: descent iterations if --opt-iterations absent)")
-    g.add_argument("--out", help="output directory")
+    for f in fields(ExperimentConfig):
+        g.add_argument(_flag(f), dest=f.name, type=_FLAG_TYPES.get(f.type),
+                       choices=f.metadata["choices"], help=f.metadata["help"])
 
     parser = argparse.ArgumentParser(
         prog="circulant-ilc",
@@ -435,10 +432,10 @@ def main(argv=None) -> int:
         file_config = _read_json("config", args.config) if args.config else None
         if args.command == "optimize" and args.opt_iterations is None and args.iterations is not None:
             args.opt_iterations, args.iterations = args.iterations, None
-        cfg, plant, preset = _configure(args, file_config)
+        cfg, preset = _configure(args, file_config)
         if args.command == "compare" and cfg.traj == "worst_case":  # the accelerated law's own
             raise ConfigError("traj", "compare runs the yd1 or yd2 trajectory")
-        ws = _workspace(cfg, plant, preset, _DEFAULT_Q.get(args.command))
+        ws = _workspace(cfg, preset, _DEFAULT_Q.get(args.command))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
             resolved, stopped = _COMMANDS[args.command](ws)
         write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})

@@ -205,17 +205,17 @@ def unstable_zero_count(plant: DiscretePlant) -> int:
 
 @dataclass(frozen=True)
 class Preset:
-    """Benchmark configuration, named by its PRESETS key: plant plus its experiment defaults.
+    """A plant plus its experiment defaults: a PRESETS entry, or a plant spec file's.
 
-    reselect_region is the descent's region policy: False adjusts the fixed
-    corner blocks, True re-picks the most sensitive positions every iteration
-    (see OptimizerConfig).
+    q None deletes the plant's unstable zero count. reselect_region is the
+    descent's region policy: False adjusts the fixed corner blocks, True
+    re-picks the most sensitive positions every iteration (see OptimizerConfig).
     """
 
     plant: ContinuousPlant
     sample_hz: float = 50.0
     horizon: int = 51
-    q: int = 1
+    q: int | None = None
     optimizer_iterations: int = 1000
     reselect_region: bool = False
 

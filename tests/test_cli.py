@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -37,7 +38,9 @@ from circulant_ilc import (
     realize,
 )
 from circulant_ilc import cli as cli_module
-from circulant_ilc.cli import _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, build_config, main
+from circulant_ilc.cli import (
+    _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, _flag, build_config, main
+)
 from circulant_ilc.exports import fmt
 from circulant_ilc.laws import KINDS
 from strategies import PROPERTY
@@ -277,6 +280,19 @@ def test_compare_emits_four_law_columns(tmp_path):
     assert len(rows) == 7
 
 
+def test_compare_keeps_one_run_of_histories_live(tmp_path):
+    # compare writes only each law's rms; it used to hold all four runs' histories
+    history = 2 * 2001 * 51 * 8  # one run's inputs and errors in bytes, at N = 51
+    tracemalloc.start()
+    try:
+        assert run(["compare", "--opt-iterations", 5, "--iterations", 2000,
+                    "--out", tmp_path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * history, f"peak {peak / history:.2f} runs of histories"
+
+
 def test_sweep_minimum_at_zero_gain(tmp_path, capsys):
     assert run(["sweep", "--phi-min", -0.2, "--phi-max", 0.3, "--phi-step", 0.1,
                 "--out", tmp_path]) == 0
@@ -376,7 +392,7 @@ def test_sweep_grid_is_bounded(tmp_path, capsys):
     "field, accepted, rejected",
     [
         ("n", 4096, 4097),                          # 4096**2 = 2**24 lifted entries
-        ("iterations", 328_964, 328_965),           # (iterations + 1) * 51 entries
+        ("iterations", 164_481, 164_482),           # 2 (iterations + 1) * 51 entries
         ("opt_iterations", 2**24 - 1, 2**24),       # iterations + 1 trace entries
         # power is bounded below only, since no allocation grows with it; the id names
         # the edge of the power * 51**2 budget this row pinned until doubling removed it
@@ -532,6 +548,19 @@ def test_plant_spec_file(tmp_path):
     assert float(rows[0][1]) == pytest.approx(18.2151, rel=1e-2)
     meta = json.loads((out / "analyze_meta.json").read_text())
     assert meta["config"]["n"] == 51 and meta["config"]["sample_hz"] == 50.0
+
+
+def test_plant_file_meta_records_its_descent_defaults(tmp_path):
+    # a plant file's descent ran 1000 iterations while its meta recorded null
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"first_order": [8.8], "second_order": [{"omega": 37.0, "zeta": 0.5}]}))
+    assert run(["optimize", "--plant", path, "--out", tmp_path / "a"]) == 0
+    config = json.loads((tmp_path / "a" / "optimize_meta.json").read_text())["config"]
+    assert (config["opt_iterations"], config["sample_hz"], config["n"]) == (1000, 50.0, 51)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["optimize", "--config", tmp_path / "config.json", "--out", tmp_path / "b"]) == 0
+    trace = [(tmp_path / out / "trace.csv").read_bytes() for out in ("a", "b")]
+    assert trace[0] == trace[1]
 
 
 def test_inline_plant_in_config_file(tmp_path):
@@ -770,8 +799,10 @@ def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys, third):
     assert capsys.readouterr().out.startswith(f"sigma_max = {fmt(sigma_max)}  ")
 
 
-@pytest.mark.parametrize("flag", ["--n", "--q", "--power", "--opt-iterations", "--region-size",
-                                  "--iterations"])
+@pytest.mark.parametrize(
+    "flag",
+    [_flag(f) for f in ExperimentConfig.__dataclass_fields__.values() if f.type in (int, int | None)],
+)
 def test_unparsable_integer_flag_is_compact(tmp_path, capsys, flag):
     # argparse echoed the whole value: 5,201 bytes of stderr for 4301 digits
     with pytest.raises(SystemExit) as exit_info:
