@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteGainError, NumericalDegeneracyError
 from .lifted import DeletedModel
@@ -108,8 +107,6 @@ _KRYLOV_STEPS = 8
 # this multiple of theta (see gain_sweep).
 _PAIR_GROWTH = 4.0
 _EPS = np.finfo(float).eps
-_nrm2 = scipy.linalg.blas.dnrm2  # scaled: no overflow where w @ w would
-_dstev = scipy.linalg.lapack.dstev
 
 
 def _eigen_condition(base):
@@ -120,6 +117,7 @@ def _eigen_condition(base):
     stores x = vr[:, j] + i vr[:, j + 1] and its conjugate, which share one
     condition number, so no complex copy of either eigenvector array is made.
     """
+    import scipy.linalg  # loaded on first use: importing the package does not load scipy
     lapack = scipy.linalg.lapack
     work, _ = lapack.dgeev_lwork(base.shape[0], compute_vl=1, compute_vr=1)
     wr, wi, left, right, info = lapack.dgeev(np.asarray_chkfinite(base), lwork=int(work))
@@ -139,10 +137,10 @@ def _eigen_condition(base):
 def _orthogonalize(w, Q):
     """Remove from w, in place, its part in the span of the orthonormal rows
     of Q, twice ("twice is enough": Parlett, The Symmetric Eigenvalue
-    Problem, on Gram-Schmidt); return the norm of what is left."""
+    Problem, on Gram-Schmidt); return w."""
     for _ in range(2):
         w -= Q.T @ (Q @ w)
-    return _nrm2(w)
+    return w
 
 
 def _top_ritz_vector(G, start):
@@ -168,19 +166,22 @@ def _top_ritz_vector(G, start):
     residual says nothing of the rest of the spectrum, so from then on only
     the step limit ends the basis.
     """
+    import scipy.linalg
+    nrm2 = scipy.linalg.blas.dnrm2  # scaled: no overflow where w @ w would
+    dstev = scipy.linalg.lapack.dstev
     n = G.shape[0]
     steps = min(_KRYLOV_STEPS, n)
     tol = np.sqrt(_EPS)
     Q = np.empty((steps, n))  # basis vectors as rows
     alpha, beta = np.empty(steps), np.zeros(steps)
-    Q[0] = start / _nrm2(start)
+    Q[0] = start / nrm2(start)
     invariant = False
     for k in range(steps):
         w = G @ Q[k]
         alpha[k] = Q[k] @ w
         if k + 1 < steps:
-            scale = _nrm2(w)
-            norm = _orthogonalize(w, Q[: k + 1])
+            scale = nrm2(w)
+            norm = nrm2(_orthogonalize(w, Q[: k + 1]))
             if norm > n * _EPS * scale:
                 beta[k] = norm
             else:
@@ -188,9 +189,9 @@ def _top_ritz_vector(G, start):
                 seed = k
                 while not norm > n * _EPS * scale:
                     w = np.random.default_rng(seed).standard_normal(n)
-                    scale, seed = _nrm2(w), seed + steps
-                    norm = _orthogonalize(w, Q[: k + 1])
-        ritz, y, _ = _dstev(alpha[: k + 1], beta[: max(k, 1)])  # dstev takes len(e) >= 1
+                    scale, seed = nrm2(w), seed + steps
+                    norm = nrm2(_orthogonalize(w, Q[: k + 1]))
+        ritz, y, _ = dstev(alpha[: k + 1], beta[: max(k, 1)])  # dstev takes len(e) >= 1
         if k + 1 == steps or not invariant and beta[k] * abs(y[k, -1]) <= tol * ritz[-1]:
             return y[:, -1] @ Q[: k + 1]
         Q[k + 1] = w / norm
@@ -211,6 +212,7 @@ def _certified(G, theta, work):
     OpenBLAS factors a matrix of NaNs without complaint: a non-finite theta
     is never certified.
     """
+    import scipy.linalg
     np.negative(G, out=work)
     work.reshape(-1)[:: work.shape[0] + 1] += theta * (1.0 + _SIGMA_MARGIN)
     # work is symmetric, so its transpose is the same matrix in Fortran order

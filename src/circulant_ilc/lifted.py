@@ -4,7 +4,7 @@ DFT diagonalization, structured inversion, and initial-step deletion."""
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedCirculantError, NumericalDegeneracyError
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
@@ -27,13 +27,21 @@ _SINGULAR_RTOL = 1e-12     # circulant eigenvalue magnitude, relative to the lar
 _IMAG_RESIDUE_TOL = 1e-10  # allowed imaginary part of the inverse, per unit of its round-off scale
 
 
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """Circulant matrix with first column `col`, entry (i, j) = col[(i - j) mod n],
+    each a bitwise copy; np.tril of it is the lower-triangular Toeplitz matrix.
+    Row i is the window of reversed `col`, wrapped once, that starts at n - 1 - i."""
+    r = col[::-1]
+    return sliding_window_view(np.concatenate((r, r[:-1])), col.size)[::-1].copy()
+
+
 def toeplitz_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
     """Lower-triangular Toeplitz map from input history to output history.
 
     Row k of the product with u reproduces y(k+1) of the state recursion for
     x(0) = 0, honoring the one-step input-to-output delay of the sampled plant.
     """
-    return scipy.linalg.toeplitz(markov_parameters(plant, horizon), np.zeros(horizon))
+    return np.tril(circulant_matrix(plant, horizon))
 
 
 def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
@@ -48,7 +56,7 @@ def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 def circulant_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
     """Circulant wrap of the Markov parameters: entry (i, j) = C A^((i-j) mod N) B."""
-    return scipy.linalg.circulant(markov_parameters(plant, horizon))
+    return _circulant(markov_parameters(plant, horizon))
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,12 @@ class LiftedModel:
         if horizon < 1:
             raise ValueError("horizon must be at least one step")
         m = markov_parameters(plant, horizon)
+        circulant = _circulant(m)
         fields = {
             "markov": m,
-            "toeplitz": scipy.linalg.toeplitz(m, np.zeros(horizon)),
+            "toeplitz": np.tril(circulant),
             "observability": step_observability(plant, horizon),
-            "circulant": scipy.linalg.circulant(m),
+            "circulant": circulant,
         }
         for a in fields.values():
             a.flags.writeable = False
@@ -150,7 +159,7 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     residue = np.max(np.abs(col.imag))
     if residue > _IMAG_RESIDUE_TOL * np.max(np.abs(col)) * mags.max() / mags.min():
         raise NumericalDegeneracyError(f"imaginary residue {residue:.3e} in circulant inverse")
-    return scipy.linalg.circulant(col.real)
+    return _circulant(col.real)
 
 
 def circulant_deviation(matrix: np.ndarray) -> float:

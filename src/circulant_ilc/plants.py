@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteSamplingError
 
@@ -137,6 +136,7 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     """
     if period <= 0:
         raise ValueError("sample period must be positive")
+    import scipy.linalg  # loaded on first use: importing the package does not load scipy
     n = css.order
     nyquist = np.pi / period
     omega = np.max(np.abs(np.linalg.eigvals(css.A).imag), initial=0.0)
@@ -190,6 +190,7 @@ def sampling_zeros(plant: DiscretePlant) -> np.ndarray:
     Solved as the finite generalized eigenvalues of the system-matrix pencil
     [[A - zI, B], [C, 0]]; avoids the ill-conditioned numerator polynomial.
     """
+    import scipy.linalg
     n = plant.order
     M = np.block([[plant.A, plant.B], [plant.C, np.zeros((1, 1))]])
     W = np.zeros((n + 1, n + 1))

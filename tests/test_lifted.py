@@ -6,6 +6,7 @@ the structured inverse, and explicit complex conjugation for the DFT check.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from numpy.testing import assert_allclose
 
@@ -28,6 +29,7 @@ from circulant_ilc import (
     toeplitz_matrix,
     unstable_zero_count,
 )
+from circulant_ilc import lifted
 from oracles import dft_matrix
 from strategies import PROPERTY, horizons, sampled_plants
 
@@ -98,6 +100,27 @@ def test_circulant_rotation_pattern():
         [[m[0], m[2], m[1]], [m[1], m[0], m[2]], [m[2], m[1], m[0]]]
     )
     assert np.array_equal(circulant_matrix(plant, 3), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 256])
+def test_builders_copy_scipys_bits(n, monkeypatch):
+    # oracle: the scipy.linalg builders the lifted layer used before; every
+    # entry is a copy, so signed zeros, infinities and NaNs keep their bits
+    plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
+    values = np.random.default_rng(n).standard_normal(n)
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for shift in range(specials.size + 1):  # each special value leads in turn; last: none
+        m = values.copy()
+        if shift < specials.size:
+            m[: specials.size] = np.roll(specials, -shift)[:n]
+        monkeypatch.setattr(lifted, "markov_parameters", lambda plant, count, m=m: m.copy())
+        circulant = scipy.linalg.circulant(m).tobytes()
+        toeplitz = scipy.linalg.toeplitz(m, np.zeros(n)).tobytes()
+        model = LiftedModel.build(plant, n)
+        assert circulant_matrix(plant, n).tobytes() == model.circulant.tobytes() == circulant
+        assert toeplitz_matrix(plant, n).tobytes() == model.toeplitz.tobytes() == toeplitz
+        assert lifted._circulant(m.astype(complex).real).tobytes() == circulant  # a strided view
+        assert model.circulant.shape == model.toeplitz.shape == (n, n)
 
 
 def test_circulant_equals_basis_expansion(third):
