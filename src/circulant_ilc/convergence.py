@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteGainError, NumericalDegeneracyError
+from .laws import _identity_minus
 from .lifted import DeletedModel
 
 __all__ = ["ConvergenceReport", "GainSweep", "analyze", "gain_sweep"]
@@ -60,10 +61,13 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
         raise ValueError("error propagation matrix must be square")
     if not np.isfinite(matrix).all():
         raise NumericalDegeneracyError("error propagation matrix has a non-finite entry")
-    skew = 0.5 * (matrix - matrix.T)
+    half = np.subtract(matrix, matrix.T)
+    half *= 0.5  # the skew part K
     # chained: also False for a norm that overflows
-    if np.linalg.norm(skew) <= matrix.shape[0] * _EPS * np.linalg.norm(matrix) < np.inf:
-        eigen = _sorted_magnitudes(np.linalg.eigvalsh(0.5 * (matrix + matrix.T)))
+    if np.linalg.norm(half) <= matrix.shape[0] * _EPS * np.linalg.norm(matrix) < np.inf:
+        np.add(matrix, matrix.T, out=half)
+        half *= 0.5  # the symmetric part S, in K's buffer
+        eigen = _sorted_magnitudes(np.linalg.eigvalsh(half))
         singular = eigen.copy()
     else:
         singular = np.linalg.svd(matrix, compute_uv=False)
@@ -269,7 +273,6 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
         raise ValueError("gain grid must be nonempty")
     base = deleted.toeplitz @ deleted.circulant_inverse
     n = base.shape[0]
-    eye = np.eye(n)
     mu, cond = _eigen_condition(base)
     scale = _EPS * cond
     H, S = base.T @ base, base + base.T
@@ -294,7 +297,7 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
         G.reshape(-1)[:: n + 1] += 1.0
         theta, x = _top_rayleigh(G, x)
         if reach * reach > _PAIR_GROWTH * theta:
-            A = eye - phi * base
+            A = _identity_minus(np.multiply(base, phi, out=work))
             np.matmul(A.T, A, out=G)
             theta, x = _top_rayleigh(G, x)
         if not _certified(G, theta, work):
@@ -302,6 +305,7 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
         sigma[i] = np.sqrt(max(theta, 0.0))
         radius = _closed_form_radius(np.abs(1.0 - phi * mu), scale * reach)
         if radius is None:
-            radius = np.max(np.abs(np.linalg.eigvals(eye - phi * base)))
+            A = _identity_minus(np.multiply(base, phi, out=work))  # _certified overwrote work
+            radius = np.max(np.abs(np.linalg.eigvals(A)))
         rho[i] = radius
     return GainSweep(gains=gains, sigma_max=sigma, spectral_radius=rho)

@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import RankDeficientPlantError
 from .lifted import DeletedModel
+from .plants import _readonly
 
 __all__ = [
     "LearningLaw",
@@ -35,7 +36,8 @@ class LearningLaw:
     """A gain matrix mapping an error history to an input-history update.
 
     For deletion count q the gain is N x (N-q): it consumes the error at the
-    surviving steps and updates the full input history.
+    surviving steps and updates the full input history. A float64 gain that is
+    read-only all the way down (a DeletedModel's, say) is shared, any other copied.
     """
 
     gain: np.ndarray
@@ -46,9 +48,14 @@ class LearningLaw:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown law kind {self.kind!r}")
-        g = np.array(self.gain, dtype=float)
-        g.flags.writeable = False
-        object.__setattr__(self, "gain", g)
+        object.__setattr__(self, "gain", _readonly(self.gain))
+
+
+def _owned(gain: np.ndarray) -> np.ndarray:
+    """Mark a gain that a constructor made, and no caller holds, read-only, so
+    LearningLaw keeps it instead of copying it."""
+    gain.flags.writeable = False
+    return gain
 
 
 def signed_svd(matrix: np.ndarray):
@@ -75,7 +82,7 @@ def inverse_circulant_law(deleted: DeletedModel) -> LearningLaw:
 def scaled_inverse_circulant_law(deleted: DeletedModel, overall_gain: float) -> LearningLaw:
     """Deleted inverse circulant scaled by a single overall gain."""
     return LearningLaw(
-        overall_gain * deleted.circulant_inverse,
+        _owned(overall_gain * deleted.circulant_inverse),
         "scaled_inverse_circulant",
         deleted.q,
         params={"phi": float(overall_gain)},
@@ -104,7 +111,7 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
             total = eye + E @ total
         if i + 1 < len(bits):
             E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
-    return LearningLaw(C @ total, "accelerated", deleted.q, params={"power": int(power)})
+    return LearningLaw(_owned(C @ total), "accelerated", deleted.q, params={"power": int(power)})
 
 
 def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
@@ -113,23 +120,28 @@ def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
     U, s, Vt = np.linalg.svd(p_matrix, full_matrices=False)
     if s[-1] <= rows * np.finfo(float).eps * s[0]:
         raise RankDeficientPlantError("plant matrix is rank deficient; partial isometry undefined")
-    return LearningLaw(Vt.T @ U.T, "partial_isometry", cols - rows)
+    return LearningLaw(_owned(Vt.T @ U.T), "partial_isometry", cols - rows)
 
 
 def contraction_mapping_law(p_matrix: np.ndarray, gain: float = 1.0) -> LearningLaw:
     """Scaled transpose of the plant matrix."""
     rows, cols = p_matrix.shape
     return LearningLaw(
-        gain * p_matrix.T, "contraction_mapping", cols - rows, params={"gain": float(gain)}
+        _owned(gain * p_matrix.T), "contraction_mapping", cols - rows, params={"gain": float(gain)}
     )
 
 
 def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw:
     """(P^T P + w I)^-1 P^T, the minimizer of ||e||^2 + w ||du||^2 per step."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    if not 0 < weight < np.inf:
+        raise ValueError("weight must be positive and finite")
     rows, cols = p_matrix.shape
-    gain = np.linalg.solve(p_matrix.T @ p_matrix + weight * np.eye(cols), p_matrix.T)
+    # P^T P + w I in place: x + 0.0 is what adding w * 0.0 does off the diagonal
+    # (-0.0 becomes +0.0), and (x + 0.0) + w equals x + w on it
+    system = p_matrix.T @ p_matrix
+    system += 0.0
+    system.flat[:: cols + 1] += weight
+    gain = _owned(np.linalg.solve(system, p_matrix.T))
     return LearningLaw(gain, "quadratic_cost", cols - rows, params={"weight": float(weight)})
 
 
@@ -141,4 +153,13 @@ def error_propagation(p_matrix: np.ndarray, law) -> np.ndarray:
         raise ValueError(
             f"gain shape {gain.shape} incompatible with plant matrix {p_matrix.shape}"
         )
-    return np.eye(rows) - p_matrix @ gain
+    return _identity_minus(p_matrix @ gain)
+
+
+def _identity_minus(x: np.ndarray) -> np.ndarray:
+    """I - x for a square x, written over x: 0.0 - x everywhere, then + 1.0 on
+    the diagonal. That is np.eye(n) - x bit for bit: 0.0 - 0.0 is +0.0 where
+    np.negative gives -0.0, and (0.0 - x) + 1.0 rounds as 1.0 - x does."""
+    np.subtract(0.0, x, out=x)
+    x.flat[:: x.shape[0] + 1] += 1.0
+    return x

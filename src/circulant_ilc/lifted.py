@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedCirculantError, NumericalDegeneracyError
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
+from .plants import _readonly
 
 __all__ = [
     "LiftedModel",
@@ -93,6 +94,10 @@ class DeletedModel:
 
     toeplitz: rows q+1..N of the full Toeplitz map, shape (N-q, N).
     circulant_inverse: columns q+1..N of the inverse circulant, shape (N, N-q).
+
+    Both are read-only: views of the arrays they are cut from where those are
+    read-only all the way down, as LiftedModel.build's and circulant_inverse's
+    are, and copies otherwise.
     """
 
     q: int
@@ -127,14 +132,14 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     n = model.horizon
     # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows
     PE = np.fft.ifft(np.fft.fft(model.circulant, axis=0), axis=1)
-    off = PE - np.diag(np.diag(PE))
-    diagonal = np.diag(PE).copy()
+    diagonal = PE.diagonal().copy()
+    PE.flat[:: n + 1] -= diagonal  # zeroes the diagonal in place: PE is now the off-diagonal part
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
     transfer = frequency_response(model.plant, zs)
     aligned = np.abs(diagonal - zs * transfer)
     tail = np.linalg.norm(np.linalg.matrix_power(model.plant.A, n - 1), 2)
     return DiagonalizationReport(
-        max_offdiag=float(np.max(np.abs(off))),
+        max_offdiag=float(np.max(np.abs(PE))),
         diagonal=diagonal,
         aligned_error=aligned,
         tail_norm=float(tail),
@@ -146,7 +151,8 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
 
     The eigenvalues are the DFT of the first column; the inverse is the
     circulant built from the inverse DFT of their reciprocals, so the result
-    is circulant by construction.
+    is circulant by construction. The result is read-only, so deleted models
+    and laws can share it.
     """
     eigs = np.fft.fft(model.markov)
     mags = np.abs(eigs)
@@ -159,7 +165,9 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     residue = np.max(np.abs(col.imag))
     if residue > _IMAG_RESIDUE_TOL * np.max(np.abs(col)) * mags.max() / mags.min():
         raise NumericalDegeneracyError(f"imaginary residue {residue:.3e} in circulant inverse")
-    return _circulant(col.real)
+    inverse = _circulant(col.real)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def circulant_deviation(matrix: np.ndarray) -> float:
@@ -182,8 +190,6 @@ def delete_initial_steps(
     n = model.horizon
     if not 0 <= q < n:
         raise ValueError(f"deletion count q = {q} must satisfy 0 <= q < N = {n}")
-    toeplitz = model.toeplitz[q:, :].copy()
-    circ_inv = inverse[:, q:].copy()
-    toeplitz.flags.writeable = False
-    circ_inv.flags.writeable = False
-    return DeletedModel(q=q, toeplitz=toeplitz, circulant_inverse=circ_inv)
+    return DeletedModel(
+        q=q, toeplitz=_readonly(model.toeplitz[q:]), circulant_inverse=_readonly(inverse[:, q:])
+    )

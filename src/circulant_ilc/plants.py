@@ -57,14 +57,21 @@ class ContinuousPlant:
 
 
 def _readonly(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+    """`a` as a float64 array marked read-only: `a` itself where neither
+    it nor any array it views is writable, else a read-only copy."""
+    view = np.asarray(a, dtype=float)
+    owner = view
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:
+        view = np.array(view)  # order K: a Fortran-ordered input stays so
+        view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class _StateSpace:
-    """A state-space triple held as read-only copies: B a column, C a row."""
+    """A state-space triple held as read-only arrays: B a column, C a row."""
 
     A: np.ndarray
     B: np.ndarray

@@ -293,6 +293,26 @@ def test_compare_keeps_one_run_of_histories_live(tmp_path):
     assert peak < 2 * history, f"peak {peak / history:.2f} runs of histories"
 
 
+def test_no_command_writes_into_the_inverse(tmp_path, monkeypatch):
+    # deleted models and laws view the inverse, so it must stay as built
+    built = []
+
+    def spy(model):
+        inverse = circulant_inverse(model)
+        built.append((inverse, inverse.tobytes()))
+        return inverse
+
+    monkeypatch.setattr(cli_module, "circulant_inverse", spy)
+    runs = [[command] for command in _COMMANDS]
+    runs += [[command, "--law", kind, "--q", 1] for command in ("analyze", "simulate")
+             for kind in KINDS]
+    for args in runs:
+        assert run([*args, "--opt-iterations", 3, "--iterations", 5, "--out", tmp_path]) == 0, args
+    assert len(built) == len(runs)
+    for inverse, snapshot in built:
+        assert not inverse.flags.writeable and inverse.tobytes() == snapshot
+
+
 def test_sweep_minimum_at_zero_gain(tmp_path, capsys):
     assert run(["sweep", "--phi-min", -0.2, "--phi-max", 0.3, "--phi-step", 0.1,
                 "--out", tmp_path]) == 0

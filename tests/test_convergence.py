@@ -4,6 +4,8 @@ Table values asserted here come from the benchmark reproduction; the
 acceptance suite re-checks them at the contract tolerances.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
+    PRESETS,
     ContinuousPlant,
     DeletedModel,
     IllConditionedCirculantError,
@@ -327,6 +330,37 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     assert calls == []
     exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
     assert_allclose(sweep.spectral_radius, exact, rtol=1e-15)
+
+
+def test_gain_sweep_forms_eye_minus_phi_b_bit_for_bit(monkeypatch):
+    # The defective map takes the dense eigenvalues at every nonzero gain. At
+    # phi > 0 its exact zeros make phi B hold +0.0, which np.eye - phi B keeps
+    # +0.0 and a negation would make -0.0; at phi < 0 they are -0.0.
+    formed = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: formed.append(a.copy()) or eigvals(a))
+    B = np.array([[1.0, 1e8, 0.0], [0.0, 1.0 + 1e-8, 0.0], [0.0, 0.0, 0.5]])
+    gain_sweep(DeletedModel(q=0, toeplitz=B, circulant_inverse=np.eye(3)), GRID)
+    gains = GRID[GRID != 0]
+    assert len(formed) == gains.size
+    for phi, A in zip(gains, formed):
+        assert A.tobytes() == (np.eye(3) - phi * B).tobytes(), phi
+
+
+def test_gain_sweep_working_set():
+    # B, its Gram pair H and S, and the buffers G and work are 5 units of
+    # N^2 * 8 bytes; an identity and a fresh phi B and I - phi B would make 8
+    n = 128
+    preset = PRESETS["fourth_order"]
+    model = LiftedModel.build(discretize_zoh(realize(preset.plant), 1 / preset.sample_hz), n)
+    deleted = delete_initial_steps(model, circulant_inverse(model), preset.q)
+    tracemalloc.start()
+    try:
+        gain_sweep(deleted, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2 float64 matrices"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

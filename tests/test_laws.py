@@ -1,5 +1,7 @@
 """Learning law construction and propagation-matrix algebra tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -29,6 +31,71 @@ def propagation(dm, law):
 def test_learning_law_rejects_unknown_kind():
     with pytest.raises(ValueError):
         LearningLaw(np.eye(2), "mystery", 0)
+
+
+def test_learning_law_shares_a_read_only_gain(third):
+    dm = third.deleted(1)
+    assert np.shares_memory(inverse_circulant_law(dm).gain, dm.circulant_inverse)
+    frozen = np.ones((3, 2))
+    frozen.flags.writeable = False
+    assert LearningLaw(frozen, "inverse_circulant", 1).gain is frozen
+
+
+def test_learning_law_copies_what_its_caller_can_write():
+    gain = np.ones((3, 2))
+    hidden = gain.view()  # read-only itself, but it views a writable array
+    hidden.flags.writeable = False
+    single = gain.astype(np.float32)
+    laws = [LearningLaw(g, "inverse_circulant", 1) for g in (gain, hidden, single)]
+    gain[:] = 5.0
+    for law in laws:
+        assert law.gain.dtype == np.float64
+        assert not law.gain.flags.writeable
+        assert np.array_equal(law.gain, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda P: contraction_mapping_law(P, 0.5), 1.5),  # the gain itself
+    (lambda P: quadratic_cost_law(P, 0.1), 2.5),  # the gain and P^T P + w I
+], ids=["contraction_mapping", "quadratic_cost"])
+def test_law_keeps_the_gain_its_constructor_made(build, bound):
+    n = 128
+    P = np.tril(np.random.default_rng(3).standard_normal((n, n)))[2:]
+    tracemalloc.start()
+    try:
+        build(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2 float64 matrices"
+
+
+def zero_laden(rows, cols, seed):
+    """A random matrix with whole zero rows and columns, +0.0 and -0.0 alike."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols))
+    M[::3] = 0.0
+    M[1::3, ::2] = -0.0
+    M[:, 1::4] = 0.0
+    return M
+
+
+def test_error_propagation_is_eye_minus_product_bit_for_bit():
+    P, L = zero_laden(7, 9, 0), zero_laden(9, 7, 1)
+    product = P @ L
+    # +0.0 entries off the diagonal: np.negative would make them -0.0
+    assert np.any((product == 0) & ~np.signbit(product) & ~np.eye(7, dtype=bool))
+    expected = np.eye(7) - product
+    assert error_propagation(P, L).tobytes() == expected.tobytes()
+    law = LearningLaw(L, "inverse_circulant", 2)
+    assert error_propagation(P, law).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("weight", [1e-3, 0.1, 1.0, 7.5])
+def test_quadratic_cost_law_is_the_dense_formula_bit_for_bit(weight):
+    P = zero_laden(6, 8, 2)
+    expected = np.linalg.solve(P.T @ P + weight * np.eye(8), P.T)
+    assert quadratic_cost_law(P, weight).gain.tobytes() == expected.tobytes()
 
 
 def test_signed_svd_fixes_leading_signs():
@@ -223,6 +290,12 @@ def test_quadratic_cost_large_weight_freezes_learning(third):
 def test_quadratic_cost_rejects_bad_weight(third):
     with pytest.raises(ValueError):
         quadratic_cost_law(third.deleted(1).toeplitz, 0.0)
+
+
+@pytest.mark.parametrize("weight", [-1.0, np.inf, np.nan])
+def test_quadratic_cost_rejects_weight_outside_the_positive_reals(third, weight):
+    with pytest.raises(ValueError, match="weight must be positive and finite"):
+        quadratic_cost_law(third.deleted(1).toeplitz, weight)
 
 
 def test_error_propagation_exact_inverse_is_zero():

@@ -4,6 +4,9 @@ Oracles: direct state recursion for the Toeplitz map, dense LU inversion for
 the structured inverse, and explicit complex conjugation for the DFT check.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +14,7 @@ from hypothesis import example, given
 from numpy.testing import assert_allclose
 
 from circulant_ilc import (
+    PRESETS,
     ContinuousPlant,
     DiscretePlant,
     IllConditionedCirculantError,
@@ -170,6 +174,22 @@ def test_dft_diagonal_scalar_closed_form():
     assert_allclose(report.diagonal, 1.0 / (1.0 - 0.5 / zs), atol=1e-12)
 
 
+def test_dft_verify_working_set():
+    # the complex product and the magnitudes of its off-diagonal part are 2 + 1
+    # units of N^2 * 8 bytes, and the FFTs hold one more complex matrix; a copy
+    # of the off-diagonal part would take the peak to 6
+    n = 128
+    preset = PRESETS["fourth_order"]
+    model = LiftedModel.build(discretize_zoh(realize(preset.plant), 1 / preset.sample_hz), n)
+    tracemalloc.start()
+    try:
+        dft_verify(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2 float64 matrices"
+
+
 def test_dft_offdiagonal_energy_small(benches):
     for bench in benches.values():
         H = dft_matrix(N)
@@ -188,6 +208,12 @@ def test_circulant_inverse_matches_dense_lu():
     model = fake_model([2.0, 1.0, 0.0])
     oracle = np.linalg.inv(model.circulant)
     assert_allclose(circulant_inverse(model), oracle, atol=1e-12)
+
+
+def test_circulant_inverse_is_read_only(third):
+    inverse = circulant_inverse(third.model)
+    with pytest.raises(ValueError):
+        inverse[0, 0] = 1
 
 
 def test_circulant_inverse_properties(benches):
@@ -238,6 +264,30 @@ def test_delete_shapes_and_content(third, fifth):
     d2 = delete_initial_steps(fifth.model, fifth.inverse, 2)
     assert d2.toeplitz.shape == (49, 51)
     assert (d2.toeplitz @ d2.circulant_inverse).shape == (49, 49)
+
+
+def test_deleted_model_views_the_model_and_inverse(benches):
+    for bench in benches.values():
+        for q in (0, 2):
+            dm = bench.deleted(q)
+            assert np.shares_memory(dm.toeplitz, bench.model.toeplitz)
+            assert np.shares_memory(dm.circulant_inverse, bench.inverse)
+            assert not dm.toeplitz.flags.writeable
+            assert not dm.circulant_inverse.flags.writeable
+
+
+def test_delete_copies_what_its_caller_can_write(third):
+    inverse = np.array(third.inverse)
+    hidden = inverse.view()  # read-only itself, but it views a writable array
+    hidden.flags.writeable = False
+    model = dataclasses.replace(third.model, toeplitz=np.array(third.model.toeplitz))
+    deleted = [delete_initial_steps(model, inverse, 1), delete_initial_steps(model, hidden, 1)]
+    inverse[:] = 0.0
+    model.toeplitz[:] = 0.0
+    for dm in deleted:
+        assert not dm.toeplitz.flags.writeable and not dm.circulant_inverse.flags.writeable
+        assert np.array_equal(dm.toeplitz, third.model.toeplitz[1:])
+        assert np.array_equal(dm.circulant_inverse, third.inverse[:, 1:])
 
 
 def test_delete_default_counts(benches):
