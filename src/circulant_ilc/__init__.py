@@ -34,7 +34,6 @@ from .lifted import (
     DeletedModel,
     DiagonalizationReport,
     LiftedModel,
-    circulant_deviation,
     circulant_inverse,
     circulant_matrix,
     delete_initial_steps,
@@ -66,7 +65,6 @@ from .plants import (
 )
 from .simulation import (
     SimulationResult,
-    Trajectory,
     make_trajectory,
     run_ilc,
     worst_case_experiment,

@@ -32,9 +32,11 @@ _MAX_SWEEP_POINTS = 100_000
 _MAX_ENTRIES = 2**24
 
 
-def _setting(default, help=None, *, flag=None, choices=None):
-    """A config field that declares its command-line flag (default --name-with-dashes)."""
-    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
+def _setting(default, help=None, *, flag=None, choices=None, least=None):
+    """A config field that declares its command-line flag (default --name-with-dashes)
+    and its bound: an integer must be at least `least`, a float above it."""
+    metadata = {"help": help, "flag": flag, "choices": choices, "least": least}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -43,22 +45,22 @@ class ExperimentConfig:
 
     # a config file may also give an inline plant spec dict
     plant: object = _setting("third_order", "preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
-    n: int = _setting(51, "horizon length in steps")
+    n: int = _setting(51, "horizon length in steps", least=1)
     sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz")
     q: int | None = _setting(None, "deleted initial steps (analyze defaults to 0, other commands to the plant default)")
     law: str = _setting("inverse_circulant", "learning law kind", choices=laws.KINDS)
-    power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)")
+    power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)", least=1)
     phi: float = _setting(1.0, "overall gain for the scaled law")
     law_gain: float = _setting(1.0, "contraction-mapping gain")
-    law_weight: float = _setting(1.0, "quadratic-cost weight")
-    opt_weight: float = _setting(0.1, "descent weight factor")
-    opt_iterations: int | None = _setting(None, "descent iterations")  # None: the plant's
-    region_size: int = _setting(5, "corner block size for adjusted gains (presets that re-pick their region adjust as many positions)")
+    law_weight: float = _setting(1.0, "quadratic-cost weight", least=0.0)
+    opt_weight: float = _setting(0.1, "descent weight factor", least=0.0)
+    opt_iterations: int | None = _setting(None, "descent iterations", least=1)  # None: the plant's
+    region_size: int = _setting(5, "corner block size for adjusted gains (presets that re-pick their region adjust as many positions)", least=1)
     phi_min: float = _setting(-1.0)
     phi_max: float = _setting(2.0)
-    phi_step: float = _setting(0.05)
+    phi_step: float = _setting(0.05, least=0.0)
     traj: str = _setting("yd1", "desired trajectory", choices=_TRAJ_CHOICES)
-    iterations: int = _setting(100, "learning iterations (optimize: descent iterations if --opt-iterations absent)")
+    iterations: int = _setting(100, "learning iterations (optimize: descent iterations if --opt-iterations absent)", least=0)
     out: str = _setting(".", "output directory")
 
 
@@ -149,40 +151,28 @@ def _configure(args, file_config):
 
 def _validate(cfg: ExperimentConfig):
     for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
+        value, least = getattr(cfg, f.name), f.metadata["least"]
         if f.type is int or (f.type == int | None and value is not None):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f.name, f"must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ConfigError(f.name, f"must be at least {least}")
         elif f.type is float:
             if not (_is_number(value) and abs(value) <= sys.float_info.max):  # NaN and inf fail
                 raise ConfigError(f.name, f"must be a finite number, got {value!r}")
+            if least is not None and value <= least:
+                raise ConfigError(f.name, "must be positive" if least == 0 else f"must be above {least}")
         elif f.type is str and not isinstance(value, str):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
         if f.metadata["choices"] and value not in f.metadata["choices"]:
             raise ConfigError(f.name, f"must be one of {f.metadata['choices']}")
-    if cfg.n < 1:
-        raise ConfigError("n", "horizon must be at least 1")
     if not (cfg.sample_hz > 0 and np.isfinite(1.0 / cfg.sample_hz)):
         raise ConfigError("sample_hz", "sample rate must be positive, with a finite period")
-    if cfg.power < 1:
-        raise ConfigError("power", "must be at least 1")
-    if cfg.opt_weight <= 0:
-        raise ConfigError("opt_weight", "must be positive")
-    if cfg.opt_iterations < 1:
-        raise ConfigError("opt_iterations", "must be at least 1")
-    if cfg.law_weight <= 0:
-        raise ConfigError("law_weight", "must be positive")
-    if cfg.region_size < 1:
-        raise ConfigError("region_size", "must be at least 1")
-    if cfg.phi_step <= 0:
-        raise ConfigError("phi_step", "must be positive")
     if cfg.phi_max < cfg.phi_min:
         raise ConfigError("phi_max", "must not be below phi_min")
     steps = (cfg.phi_max - cfg.phi_min) / cfg.phi_step
     if steps > _MAX_SWEEP_POINTS - 1:
         raise ConfigError("phi_step", f"{steps:.3g} grid steps exceed {_MAX_SWEEP_POINTS} points")
-    if cfg.iterations < 0:
-        raise ConfigError("iterations", "must be nonnegative")
     # the largest value whose arrays fit: n^2, 2 (iterations + 1) n or opt_iterations + 1 entries
     for name, value, limit in (
         ("n", cfg.n, math.isqrt(_MAX_ENTRIES)),

@@ -96,7 +96,8 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
     E = I - P Pc_inv, which equals P^-1 [I - E^p] without forming the
     catastrophically ill-conditioned P^-1. S_p is summed by binary doubling,
     S_2m = S_m + E^m S_m and S_2m+1 = I + E S_2m, in O(log p) products; the
-    last power of E, which no step reads, is not formed.
+    last power of E, which no step reads, is not formed. Each sum is written
+    into its product's buffer: elementwise addition commutes, so every bit stays.
     """
     if power < 1:
         raise ValueError("power must be at least 1")
@@ -106,9 +107,9 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
     total, E_m = eye, E  # S_m and E^m for m = 1
     bits = bin(power)[3:]  # the bits after the leading one
     for i, bit in enumerate(bits):
-        total = total + E_m @ total if i else eye + E  # S_2 = I + E takes no product
+        total = np.add(prod := E_m @ total, total, out=prod) if i else eye + E  # S_2 takes no product
         if bit == "1":
-            total = eye + E @ total
+            total = np.add(prod := E @ total, eye, out=prod)
         if i + 1 < len(bits):
             E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
     return LearningLaw(_owned(C @ total), "accelerated", deleted.q, params={"power": int(power)})

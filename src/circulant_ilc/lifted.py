@@ -19,7 +19,6 @@ __all__ = [
     "circulant_matrix",
     "dft_verify",
     "circulant_inverse",
-    "circulant_deviation",
     "delete_initial_steps",
 ]
 
@@ -168,13 +167,6 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     inverse = _circulant(col.real)
     inverse.flags.writeable = False
     return inverse
-
-
-def circulant_deviation(matrix: np.ndarray) -> float:
-    """Largest spread of any wrapped diagonal; zero for an exact circulant."""
-    cols = np.arange(matrix.shape[0])
-    diagonals = matrix[(cols[:, None] + cols) % cols.size, cols]  # row d: entries (j + d, j)
-    return float(np.max(diagonals.max(axis=1) - diagonals.min(axis=1)))
 
 
 def delete_initial_steps(

@@ -51,10 +51,6 @@ class ContinuousPlant:
         if not np.isfinite([*fo, *(x for w, z in so for x in (w * w, 2.0 * z * w))]).all():
             raise ValueError("realization overflows: a, omega**2 or 2*zeta*omega is not finite")
 
-    @property
-    def order(self):
-        return len(self.first_order) + 2 * len(self.second_order)
-
 
 def _readonly(a):
     """`a` as a float64 array marked read-only: `a` itself where neither

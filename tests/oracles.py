@@ -10,6 +10,13 @@ def dft_matrix(n: int) -> np.ndarray:
     return z0 ** (-np.outer(j, j))
 
 
+def circulant_deviation(matrix: np.ndarray) -> float:
+    """Largest spread of any wrapped diagonal; zero for an exact circulant."""
+    cols = np.arange(matrix.shape[0])
+    diagonals = matrix[(cols[:, None] + cols) % cols.size, cols]  # row d: entries (j + d, j)
+    return float(np.max(diagonals.max(axis=1) - diagonals.min(axis=1)))
+
+
 def plant_transfer(plant, s):
     """The factored transfer function of a ContinuousPlant at complex frequency s."""
     g = 1.0 + 0.0j
@@ -36,4 +43,20 @@ def accelerated_gain_by_loop(deleted, power):
     for _ in range(power - 1):
         term = term @ E
         total = total + term
+    return C @ total
+
+
+def accelerated_gain_by_doubling(deleted, power):
+    """The doubling sum as the accelerated law first wrote it, each sum into a new array."""
+    C = deleted.circulant_inverse
+    E = np.eye(C.shape[1]) - deleted.toeplitz @ C
+    eye = np.eye(E.shape[0])
+    total, E_m = eye, E
+    bits = bin(power)[3:]
+    for i, bit in enumerate(bits):
+        total = total + E_m @ total if i else eye + E
+        if bit == "1":
+            total = eye + E @ total
+        if i + 1 < len(bits):
+            E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
     return C @ total

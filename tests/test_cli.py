@@ -9,7 +9,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +454,29 @@ def test_power_is_outside_the_budget(tmp_path):
         build_config(None, {"power": 0})
     assert run(["analyze", "--law", "accelerated", "--power", 100_000_000,
                 "--out", tmp_path]) == 0
+
+
+BOUNDS = {"n": 1, "power": 1, "opt_iterations": 1, "region_size": 1, "iterations": 0,
+          "opt_weight": 0.0, "law_weight": 0.0, "phi_step": 0.0}
+
+
+def test_bounds_are_declared_with_their_settings():
+    declared = {f.name: f.metadata["least"] for f in fields(ExperimentConfig)}
+    assert {name: least for name, least in declared.items() if least is not None} == BOUNDS
+
+
+@pytest.mark.parametrize("name, least", BOUNDS.items(), ids=list(BOUNDS))
+def test_each_bound_admits_its_edge(name, least):
+    # integers: at least `least`; floats: above it. A one-point grid lets phi_step be tiny.
+    grid = {"phi_min": 0.0, "phi_max": 0.0}
+    if isinstance(least, int):
+        edge, outside, message = least, [least - 1, -(10**5000)], f"must be at least {least}"
+    else:
+        edge, outside, message = 5e-324, [0.0, -0.0, -1.0], "must be positive"
+    assert getattr(build_config(None, {**grid, name: edge}), name) == edge
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"^{name}: {message}$"):
+            build_config(None, {**grid, name: value})
 
 
 def test_accelerated_law_cost_grows_with_log_power(tmp_path):

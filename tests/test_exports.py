@@ -3,7 +3,7 @@
 import numpy as np
 
 from circulant_ilc.exports import fmt, matrix_filename, write_matrix, write_rows
-from circulant_ilc.lifted import circulant_deviation
+from oracles import circulant_deviation
 
 
 def test_fmt_round_trips_doubles():

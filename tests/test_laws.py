@@ -10,16 +10,21 @@ from circulant_ilc import (
     PRESETS,
     DeletedModel,
     LearningLaw,
+    LiftedModel,
     accelerated_law,
+    circulant_inverse,
     contraction_mapping_law,
+    delete_initial_steps,
+    discretize_zoh,
     error_propagation,
     inverse_circulant_law,
     partial_isometry_law,
     quadratic_cost_law,
+    realize,
     scaled_inverse_circulant_law,
     signed_svd,
 )
-from oracles import accelerated_gain_by_loop
+from oracles import accelerated_gain_by_doubling, accelerated_gain_by_loop
 
 N = 51
 
@@ -172,6 +177,35 @@ def test_accelerated_law_matches_the_term_by_term_sum(benches, name):
             Ep = np.linalg.matrix_power(E, power)
             error = np.max(np.abs(propagation(dm, accelerated_law(dm, power)) - Ep))
             assert error < 1e-8 * max(1.0, np.max(np.abs(Ep))), (q, power)
+
+
+@pytest.mark.parametrize("name", ["third_order", "fourth_order", "fifth_order"])
+@pytest.mark.parametrize("n", [51, 128])
+def test_accelerated_law_is_the_doubling_sum_bit_for_bit(name, n):
+    preset = PRESETS[name]
+    model = LiftedModel.build(discretize_zoh(realize(preset.plant), 1.0 / preset.sample_hz), n)
+    inverse = circulant_inverse(model)
+    for q in (0, preset.q):
+        dm = delete_initial_steps(model, inverse, q)
+        with np.errstate(all="ignore"):  # high powers of E overflow on the unstable maps
+            for power in (1, 2, 3, 6, 7, 16, 1000, 12345):
+                want = accelerated_gain_by_doubling(dm, power)
+                assert accelerated_law(dm, power).gain.tobytes() == want.tobytes(), (q, power)
+
+
+def test_accelerated_law_working_set(third):
+    # E, the identity, S_m, E^m and the product being summed: the sums go into
+    # the products' buffers (5.9 N^2 float64 matrices when each made a new array)
+    n = 128
+    model = LiftedModel.build(third.plant, n)
+    dm = delete_initial_steps(model, circulant_inverse(model), 1)
+    tracemalloc.start()
+    try:
+        accelerated_law(dm, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2 float64 matrices"
 
 
 class _CountedMatrix(np.ndarray):

@@ -16,7 +16,6 @@ from circulant_ilc import (
     IllConditionedCirculantError,
     LearningLaw,
     LiftedModel,
-    Trajectory,
     accelerated_law,
     analyze,
     circulant_inverse,
@@ -42,9 +41,19 @@ def test_trajectory_values_at_unit_time(third):
     yd1 = make_trajectory("yd1", third.plant, N)
     yd2 = make_trajectory("yd2", third.plant, N)
     k_unit = 49  # t = 50 * 0.02 = 1.0
-    assert yd1.samples[k_unit] == pytest.approx(np.pi, rel=1e-12)
-    assert yd2.samples[k_unit] == pytest.approx(0.5 * np.pi, rel=1e-12)
-    assert len(yd1) == N and yd1.label == "yd1"
+    assert yd1[k_unit] == pytest.approx(np.pi, rel=1e-12)
+    assert yd2[k_unit] == pytest.approx(0.5 * np.pi, rel=1e-12)
+    assert len(yd1) == N
+
+
+def test_trajectory_is_a_read_only_float64_array(third):
+    yd1 = make_trajectory("yd1", third.plant, N)
+    assert isinstance(yd1, np.ndarray) and yd1.dtype == np.float64 and yd1.shape == (N,)
+    assert not yd1.flags.writeable
+    with pytest.raises(ValueError):
+        yd1.flags.writeable = True
+    # benchmarks/workloads.py reads the samples as `.samples`
+    assert yd1.samples is yd1
 
 
 def test_trajectories_start_smoothly(third):
@@ -57,7 +66,7 @@ def test_trajectories_start_smoothly(third):
         assert f(0.0) == 0.0
         assert abs((f(h) - f(-h)) / (2 * h)) < 1e-8
         assert abs((f(h) - 2 * f(0.0) + f(-h)) / h**2) < 1e-4
-        assert traj.samples[0] == pytest.approx(f(T), rel=1e-12)
+        assert traj[0] == pytest.approx(f(T), rel=1e-12)
 
 
 def test_trajectory_unknown_label(third):
@@ -79,8 +88,7 @@ def test_exact_inverse_converges_in_one_shot():
     plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
     model = LiftedModel.build(plant, 5)
     law = LearningLaw(np.linalg.inv(model.toeplitz), "inverse_circulant", 0)
-    traj = Trajectory(np.array([1.0, 2.0, 0.5, -1.0, 0.0]), "custom")
-    result = run_ilc(model, law, traj, 2)
+    result = run_ilc(model, law, [1.0, 2.0, 0.5, -1.0, 0.0], 2)  # any length-N array
     assert np.max(np.abs(result.errors[1])) < 1e-12
     assert np.max(np.abs(result.errors[2])) < 1e-12
 
@@ -133,14 +141,14 @@ def test_property_run_matches_closed_form(plant, n, data):
     E = error_propagation(P, law)
     # first-order round-off of one run step, carried forward through E
     step_error = n * np.finfo(float).eps * (
-        np.linalg.norm(traj.samples)
+        np.linalg.norm(traj)
         + np.linalg.norm(model.toeplitz, 2) * np.max(np.linalg.norm(result.inputs, axis=1))
         + np.linalg.norm(P, 2) * np.linalg.norm(law.gain, 2)
         * np.max(np.linalg.norm(result.errors, axis=1))
     )
     growth = np.linalg.norm(E, 2)
     for j in range(iterations + 1):
-        exact = np.linalg.matrix_power(E, j) @ traj.samples[q:]  # zero input and state
+        exact = np.linalg.matrix_power(E, j) @ traj[q:]  # zero input and state
         bound = step_error * sum(growth**k for k in range(j + 1))
         assert np.linalg.norm(result.errors[j] - exact) <= bound
 
@@ -159,8 +167,7 @@ def test_zero_error_is_a_fixed_point(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)
     u_star = np.linalg.lstsq(third.model.toeplitz, np.ones(N), rcond=None)[0]
-    traj = Trajectory(third.model.toeplitz @ u_star, "custom")
-    result = run_ilc(third.model, law, traj, 3, initial_input=u_star)
+    result = run_ilc(third.model, law, third.model.toeplitz @ u_star, 3, initial_input=u_star)
     assert np.max(np.abs(result.errors)) == 0
     for j in range(4):
         assert np.array_equal(result.inputs[j], u_star)
@@ -185,7 +192,7 @@ def test_deleted_steps_never_enter_the_update(third):
     law = inverse_circulant_law(dm)
     traj = make_trajectory("yd1", third.plant, N)
     base = run_ilc(third.model, law, traj, 5)
-    bumped = Trajectory(np.concatenate([[traj.samples[0] + 123.0], traj.samples[1:]]), "custom")
+    bumped = np.concatenate([[traj[0] + 123.0], traj[1:]])
     perturbed = run_ilc(third.model, law, bumped, 5)
     assert np.array_equal(base.inputs, perturbed.inputs)
     assert np.array_equal(base.errors, perturbed.errors)
@@ -197,8 +204,7 @@ def test_initial_state_enters_through_observability(third):
     law = scaled_inverse_circulant_law(dm, 0.0)
     rng = np.random.default_rng(17)
     x0 = rng.standard_normal(third.plant.order)
-    traj = Trajectory(np.zeros(N), "custom")
-    result = run_ilc(third.model, law, traj, 0, initial_state=x0)
+    result = run_ilc(third.model, law, np.zeros(N), 0, initial_state=x0)
     assert_allclose(result.errors[0], -(third.model.observability @ x0), atol=1e-12)
 
 
@@ -206,7 +212,9 @@ def test_run_rejects_mismatched_shapes(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)
     with pytest.raises(ValueError):
-        run_ilc(third.model, law, Trajectory(np.zeros(N - 1), "custom"), 3)
+        run_ilc(third.model, law, np.zeros(N - 1), 3)
+    with pytest.raises(ValueError):
+        run_ilc(third.model, law, np.zeros((N, 1)), 3)
 
 
 def test_worst_case_rms_is_flat(third):
@@ -223,8 +231,7 @@ def test_second_singular_direction_learns_immediately(third):
     law = accelerated_law(dm, 6)
     E = error_propagation(dm.toeplitz, law)
     _, _, Vt = signed_svd(E)
-    traj = Trajectory(Vt[1, :], "custom")
-    result = run_ilc(third.model, law, traj, 3)
+    result = run_ilc(third.model, law, Vt[1], 3)
     assert result.rms[1] / result.rms[0] < 1e-4
 
 
