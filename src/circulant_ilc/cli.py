@@ -8,6 +8,7 @@ the same configuration. Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, Preset, discretize_zoh, realize
 
-__all__ = ["main", "ExperimentConfig", "build_config"]
+__all__ = ["main", "run", "ExperimentConfig", "build_config"]
 
 _TRAJ_CHOICES = ("yd1", "yd2", "worst_case")
 _MAX_SWEEP_POINTS = 100_000
@@ -99,7 +100,7 @@ def _parse_plant_dict(spec):
 def _read_json(field, source):
     """The JSON value in file `source`; an unreadable or invalid file is a ConfigError."""
     try:
-        return json.loads(Path(source).read_text())
+        return json.loads(Path(source).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
         raise ConfigError(field, f"cannot read JSON from {source!r}: {exc}") from None
 
@@ -440,5 +441,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> int:
+    """The process entry point: main, then gc.freeze(), so the interpreter's
+    shutdown collections skip every object the command leaves. Output and exit
+    codes (argparse's SystemExit too) are main's; in-process callers use main."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

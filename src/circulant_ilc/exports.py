@@ -32,7 +32,7 @@ def write_matrix(path, matrix: np.ndarray) -> Path:
     """Dump a matrix as row-major CSV, one row per line."""
     path = Path(path)
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in matrix:
             writer.writerow([fmt(v) for v in row])
@@ -42,7 +42,7 @@ def write_matrix(path, matrix: np.ndarray) -> Path:
 def write_rows(path, header, rows) -> Path:
     """Dump tabular data with a header row; floats at full precision."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -52,5 +52,5 @@ def write_rows(path, header, rows) -> Path:
 
 def write_json(path, payload) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

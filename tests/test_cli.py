@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 import tracemalloc
 import warnings
@@ -853,3 +857,97 @@ def test_unparsable_integer_flag_is_compact(tmp_path, capsys, flag):
     assert exit_info.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert f"argument {flag}: invalid integer '1000" in last and len(last.encode()) < 200, last
+
+
+# --- the process entry point: `python -m circulant_ilc.cli` and the console script call run
+
+
+def _child(args, cwd, *options):
+    """A fresh interpreter running `python *options *args` on this session's circulant_ilc."""
+    path = [str(Path(cli_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, *options, *map(str, args)],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):
+    # the same relative --out in two working directories: every artifact byte can match
+    args = ["analyze", "--plant", "third_order", "--out", "out"]
+    (tmp_path / "child").mkdir()
+    proc = _child(["-m", "circulant_ilc.cli", *args], tmp_path / "child")
+    monkeypatch.chdir(tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run(args) == 0
+    assert proc.stdout == capsys.readouterr().out
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == ["analyze_meta.json", "report.json", "table.csv"]
+    assert sorted(p.name for p in (tmp_path / "child" / "out").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "child" / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code, line",
+    [
+        (["--n", 0], 2, "configuration error: n: must be at least 1"),
+        (["--law", "nope"], 2, "circulant-ilc analyze: error: argument --law: invalid choice: 'nope'"),
+        (["--hz", 1e300], 3, "numerical degeneracy: "),
+    ],
+)
+def test_module_entry_point_exit_codes_match_main(tmp_path, capsys, args, code, line):
+    args = ["analyze", *args, "--out", tmp_path / "out"]
+    proc = _child(["-m", "circulant_ilc.cli", *args], tmp_path)
+    try:
+        assert run(args) == code
+    except SystemExit as exc:  # argparse's own exit
+        assert exc.code == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", capsys.readouterr().err)
+    assert proc.stderr.splitlines()[-1].startswith(line)
+
+
+FREEZE = textwrap.dedent(
+    """
+    import gc, sys
+    from circulant_ilc.cli import main, run
+
+    out = sys.argv[1]
+    counts = []
+    assert main(["analyze", "--out", out]) == 0
+    counts.append(gc.get_freeze_count())
+    assert run(["analyze", "--out", out]) == 0
+    counts.append(gc.get_freeze_count())
+    gc.unfreeze()
+    try:
+        run(["analyze", "--law", "nope", "--out", out])
+    except SystemExit as exc:
+        counts.append(exc.code)
+    counts.append(gc.get_freeze_count())
+    print(*counts)
+    """
+)
+
+
+def test_run_freezes_the_gc_and_main_does_not(tmp_path):
+    proc = _child(["-c", FREEZE, tmp_path], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    after_main, after_run, argparse_code, after_argparse_exit = map(
+        int, proc.stdout.splitlines()[-1].split()
+    )
+    assert after_main == 0
+    assert after_run > 0
+    assert argparse_code == 2 and after_argparse_exit > 0
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # each default-encoding file call warns under -X warn_default_encoding
+    out = str(tmp_path / "résultats")
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": out}), encoding="utf-8")
+    proc = _child(
+        ["-m", "circulant_ilc.cli", "analyze", "--config", "cfg.json"], tmp_path,
+        "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+    )
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "résultats" / "analyze_meta.json").read_text(encoding="utf-8"))
+    assert meta["config"]["out"] == out
