@@ -100,8 +100,8 @@ class DiscretePlant(_StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.period <= 0:
-            raise ValueError("sample period must be positive")
+        if not 0 < self.period < np.inf:  # NaN fails too
+            raise ValueError("sample period must be positive and finite")
 
 
 def _series(first, second):
@@ -137,8 +137,8 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     imaginary part reaches pi/T aliases onto a slower one: a RuntimeWarning.
     An exponential that overflows raises NonFiniteSamplingError.
     """
-    if period <= 0:
-        raise ValueError("sample period must be positive")
+    if not 0 < period < np.inf:  # NaN fails too
+        raise ValueError("sample period must be positive and finite")
     import scipy.linalg  # loaded on first use: importing the package does not load scipy
     n = css.order
     nyquist = np.pi / period

@@ -97,6 +97,10 @@ def run_ilc(
         raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}, q={q}")
     u = np.zeros(n) if initial_input is None else np.array(initial_input, dtype=float)
     x0 = np.zeros(model.plant.order) if initial_state is None else np.asarray(initial_state)
+    if u.shape != (n,):
+        raise ValueError(f"initial_input shape {u.shape} != horizon ({n},)")
+    if x0.shape != (model.plant.order,):
+        raise ValueError(f"initial_state shape {x0.shape} != plant order ({model.plant.order},)")
     bias = model.observability @ x0
 
     inputs = np.empty((iterations + 1, n))

@@ -174,6 +174,19 @@ def test_zoh_rejects_bad_period(third):
         discretize_zoh(third.css, 0.0)
 
 
+@pytest.mark.parametrize("period", [-T, np.nan, np.inf])
+def test_zoh_rejects_non_finite_or_negative_period(third, period):
+    # a NaN period used to pass `period <= 0` and reach expm as NonFiniteSamplingError
+    with pytest.raises(ValueError, match="sample period must be positive and finite"):
+        discretize_zoh(third.css, period)
+
+
+@pytest.mark.parametrize("period", [0.0, -T, np.nan, np.inf])
+def test_discrete_plant_rejects_bad_period(period):
+    with pytest.raises(ValueError, match="sample period must be positive and finite"):
+        DiscretePlant(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), period)
+
+
 def test_markov_parameters_match_ode_pulse_response(third):
     # unit pulse: u = 1 on the first interval only; y(k) then equals m[k-1]
     pulse = np.zeros(13)

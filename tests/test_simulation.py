@@ -217,6 +217,19 @@ def test_run_rejects_mismatched_shapes(third):
         run_ilc(third.model, law, np.zeros((N, 1)), 3)
 
 
+def test_run_rejects_mismatched_initial_conditions(third):
+    law = inverse_circulant_law(third.deleted(1))
+    with pytest.raises(ValueError, match=r"initial_input shape \(50,\)"):
+        run_ilc(third.model, law, np.zeros(N), 3, initial_input=np.zeros(N - 1))
+    with pytest.raises(ValueError, match=r"initial_input shape \(51, 1\)"):
+        run_ilc(third.model, law, np.zeros(N), 3, initial_input=np.zeros((N, 1)))
+    order = third.plant.order
+    with pytest.raises(ValueError, match=rf"initial_state shape \({order + 1},\)"):
+        run_ilc(third.model, law, np.zeros(N), 3, initial_state=np.zeros(order + 1))
+    with pytest.raises(ValueError, match=r"initial_state shape \(\)"):
+        run_ilc(third.model, law, np.zeros(N), 3, initial_state=0.0)
+
+
 def test_worst_case_rms_is_flat(third):
     dm = third.deleted(0)
     law = accelerated_law(dm, 6)
