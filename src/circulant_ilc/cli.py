@@ -40,6 +40,40 @@ def _setting(default, help=None, *, flag=None, choices=None, least=None):
     return field(default=default, metadata=metadata)
 
 
+def _optimize(ws):
+    config = optimizer.OptimizerConfig(
+        iterations=ws.cfg.opt_iterations,
+        weight=ws.cfg.opt_weight,
+        region_size=ws.cfg.region_size,
+        reselect_region=ws.preset.reselect_region,
+    )
+    return optimizer.optimize(ws.deleted, config)
+
+
+def _optimized_law(ws):
+    trace = _optimize(ws)
+    if trace.diagnostic is not None:
+        raise trace.diagnostic
+    return trace.law
+
+
+# The one list of law kinds, in the order of the --law choices. Each constructor takes
+# the _Workspace and reads its own parameter from the config.
+_LAWS = {
+    "inverse_circulant": lambda ws: laws.inverse_circulant_law(ws.deleted),
+    "optimized_inverse_circulant": _optimized_law,
+    "accelerated": lambda ws: laws.accelerated_law(ws.deleted, ws.cfg.power),
+    "scaled_inverse_circulant": lambda ws: laws.scaled_inverse_circulant_law(
+        ws.deleted, ws.cfg.phi
+    ),
+    "partial_isometry": lambda ws: laws.partial_isometry_law(ws.deleted.toeplitz),
+    "contraction_mapping": lambda ws: laws.contraction_mapping_law(
+        ws.deleted.toeplitz, ws.cfg.law_gain
+    ),
+    "quadratic_cost": lambda ws: laws.quadratic_cost_law(ws.deleted.toeplitz, ws.cfg.law_weight),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment settings shared by all commands, each with its flag."""
@@ -49,7 +83,7 @@ class ExperimentConfig:
     n: int = _setting(51, "horizon length in steps", least=1)
     sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz")
     q: int | None = _setting(None, "deleted initial steps (analyze defaults to 0, other commands to the plant default)")
-    law: str = _setting("inverse_circulant", "learning law kind", choices=laws.KINDS)
+    law: str = _setting("inverse_circulant", "learning law kind", choices=tuple(_LAWS))
     power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)", least=1)
     phi: float = _setting(1.0, "overall gain for the scaled law")
     law_gain: float = _setting(1.0, "contraction-mapping gain")
@@ -219,39 +253,6 @@ def _workspace(cfg: ExperimentConfig, preset: Preset, default_q=None) -> _Worksp
     return _Workspace(cfg, preset, model, inverse, deleted, out)
 
 
-def _optimize(ws: _Workspace):
-    config = optimizer.OptimizerConfig(
-        iterations=ws.cfg.opt_iterations,
-        weight=ws.cfg.opt_weight,
-        region_size=ws.cfg.region_size,
-        reselect_region=ws.preset.reselect_region,
-    )
-    return optimizer.optimize(ws.deleted, config)
-
-
-def _optimized_law(ws: _Workspace):
-    trace = _optimize(ws)
-    if trace.diagnostic is not None:
-        raise trace.diagnostic
-    return trace.law
-
-
-# One constructor per law, in laws.KINDS order; each reads its own parameter from the config.
-_LAWS = {
-    "inverse_circulant": lambda ws: laws.inverse_circulant_law(ws.deleted),
-    "optimized_inverse_circulant": _optimized_law,
-    "accelerated": lambda ws: laws.accelerated_law(ws.deleted, ws.cfg.power),
-    "scaled_inverse_circulant": lambda ws: laws.scaled_inverse_circulant_law(
-        ws.deleted, ws.cfg.phi
-    ),
-    "partial_isometry": lambda ws: laws.partial_isometry_law(ws.deleted.toeplitz),
-    "contraction_mapping": lambda ws: laws.contraction_mapping_law(
-        ws.deleted.toeplitz, ws.cfg.law_gain
-    ),
-    "quadratic_cost": lambda ws: laws.quadratic_cost_law(ws.deleted.toeplitz, ws.cfg.law_weight),
-}
-
-
 def cmd_analyze(ws: _Workspace):
     cfg = ws.cfg
     law = _LAWS[cfg.law](ws)
@@ -279,22 +280,21 @@ def cmd_analyze(ws: _Workspace):
         f"sigma_max = {fmt(report.sigma_max)}  spectral_radius = {fmt(report.spectral_radius)}"
         f"  monotonic = {report.monotonic}  converges = {report.converges}"
     )
-    return {"q": ws.deleted.q, "law": law.kind}, None
+    return {"q": ws.deleted.q, "law": cfg.law}, None
 
 
 def cmd_optimize(ws: _Workspace):
+    cfg, kind = ws.cfg, "optimized_inverse_circulant"
     trace = _optimize(ws)
     write_rows(
         ws.out / "trace.csv",
         ["iteration", "sigma_max", "spectral_radius"],
         [(i, s, r) for i, (s, r) in enumerate(zip(trace.sigma, trace.rho))],
     )
-    tag = matrix_filename("law_optimized_inverse_circulant", ws.cfg.n, ws.deleted.q)
+    tag = matrix_filename(f"law_{kind}", cfg.n, ws.deleted.q)
     write_matrix(ws.out / tag, trace.gain)
-    write_json(
-        ws.out / (tag[:-4] + ".json"),
-        {"kind": trace.law.kind, "q": trace.law.q, "params": trace.law.params},
-    )
+    params = {"weight": cfg.opt_weight, "iterations": cfg.opt_iterations}
+    write_json(ws.out / (tag[:-4] + ".json"), {"kind": kind, "q": ws.deleted.q, "params": params})
     if trace.diagnostic is None:
         print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
     resolved = {"q": ws.deleted.q, "reselect_region": ws.preset.reselect_region}
@@ -308,12 +308,12 @@ def cmd_simulate(ws: _Workspace):
     resolved, diverged = {"traj": cfg.traj}, None
     try:
         if cfg.traj == "worst_case":
-            power = cfg.power if cfg.power > 1 else 6
+            kind, power = "accelerated", cfg.power if cfg.power > 1 else 6
             law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
-            resolved["power"] = law.params["power"]
+            resolved["power"] = power
             result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
         else:
-            law = _LAWS[cfg.law](ws)
+            kind, law = cfg.law, _LAWS[cfg.law](ws)
             traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
             result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
     except NumericalDegeneracyError as exc:
@@ -327,7 +327,7 @@ def cmd_simulate(ws: _Workspace):
     )
     if diverged is None:
         print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
-    return {**resolved, "q": result.q, "law": result.law_kind}, diverged
+    return {**resolved, "q": law.q, "law": kind}, diverged
 
 
 def cmd_compare(ws: _Workspace):
@@ -338,7 +338,10 @@ def cmd_compare(ws: _Workspace):
     compared = [_LAWS[kind](ws) for kind in kinds]
     traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
     # only the rms: one run's histories are live at a time
-    rms = {law.kind: simulation.run_ilc(ws.model, law, traj, cfg.iterations).rms for law in compared}
+    rms = {
+        kind: simulation.run_ilc(ws.model, law, traj, cfg.iterations).rms
+        for kind, law in zip(kinds, compared)
+    }
     header = ["iteration"] + [f"rms_{kind}" for kind in rms]
     rows = [[j] + [r[j] for r in rms.values()] for j in range(cfg.iterations + 1)]
     write_rows(ws.out / "compare.csv", header, rows)

@@ -9,8 +9,6 @@ from .errors import NonFiniteGainError, NumericalDegeneracyError
 from .laws import _identity_minus
 from .lifted import DeletedModel
 
-__all__ = ["ConvergenceReport", "GainSweep", "analyze", "gain_sweep"]
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -271,6 +269,8 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
+    if not np.isfinite(gains).all():
+        raise ValueError("gain grid must be finite")
     base = deleted.toeplitz @ deleted.circulant_inverse
     n = base.shape[0]
     mu, cond = _eigen_condition(base)

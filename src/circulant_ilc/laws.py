@@ -1,6 +1,6 @@
 """Learning gain matrix constructions and the error propagation map I - P L."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -8,47 +8,28 @@ from .errors import RankDeficientPlantError
 from .lifted import DeletedModel
 from .plants import _readonly
 
-__all__ = [
-    "LearningLaw",
-    "signed_svd",
-    "inverse_circulant_law",
-    "scaled_inverse_circulant_law",
-    "accelerated_law",
-    "partial_isometry_law",
-    "contraction_mapping_law",
-    "quadratic_cost_law",
-    "error_propagation",
-]
-
-KINDS = (
-    "inverse_circulant",
-    "optimized_inverse_circulant",
-    "accelerated",
-    "scaled_inverse_circulant",
-    "partial_isometry",
-    "contraction_mapping",
-    "quadratic_cost",
-)
-
 
 @dataclass(frozen=True)
 class LearningLaw:
     """A gain matrix mapping an error history to an input-history update.
 
     For deletion count q the gain is N x (N-q): it consumes the error at the
-    surviving steps and updates the full input history. A float64 gain that is
-    read-only all the way down (a DeletedModel's, say) is shared, any other copied.
+    surviving steps and updates the full input history, so q is read from its
+    shape. A float64 gain that is read-only all the way down (a DeletedModel's,
+    say) is shared, any other copied.
     """
 
     gain: np.ndarray
-    kind: str
-    q: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown law kind {self.kind!r}")
-        object.__setattr__(self, "gain", _readonly(self.gain))
+        gain = _readonly(self.gain)
+        if gain.ndim != 2:
+            raise ValueError(f"gain must be a matrix, got shape {gain.shape}")
+        object.__setattr__(self, "gain", gain)
+
+    @property
+    def q(self):
+        return self.gain.shape[0] - self.gain.shape[1]
 
 
 def _owned(gain: np.ndarray) -> np.ndarray:
@@ -76,17 +57,12 @@ def signed_svd(matrix: np.ndarray):
 
 def inverse_circulant_law(deleted: DeletedModel) -> LearningLaw:
     """The deleted inverse circulant itself as the learning gain."""
-    return LearningLaw(deleted.circulant_inverse, "inverse_circulant", deleted.q)
+    return LearningLaw(deleted.circulant_inverse)
 
 
 def scaled_inverse_circulant_law(deleted: DeletedModel, overall_gain: float) -> LearningLaw:
     """Deleted inverse circulant scaled by a single overall gain."""
-    return LearningLaw(
-        _owned(overall_gain * deleted.circulant_inverse),
-        "scaled_inverse_circulant",
-        deleted.q,
-        params={"phi": float(overall_gain)},
-    )
+    return LearningLaw(_owned(overall_gain * deleted.circulant_inverse))
 
 
 def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
@@ -112,38 +88,33 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
             total = np.add(prod := E @ total, eye, out=prod)
         if i + 1 < len(bits):
             E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
-    return LearningLaw(_owned(C @ total), "accelerated", deleted.q, params={"power": int(power)})
+    return LearningLaw(_owned(C @ total))
 
 
 def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
     """V U^T from the thin SVD of the (possibly row-deleted) plant matrix."""
-    rows, cols = p_matrix.shape
     U, s, Vt = np.linalg.svd(p_matrix, full_matrices=False)
-    if s[-1] <= rows * np.finfo(float).eps * s[0]:
+    if s[-1] <= p_matrix.shape[0] * np.finfo(float).eps * s[0]:
         raise RankDeficientPlantError("plant matrix is rank deficient; partial isometry undefined")
-    return LearningLaw(_owned(Vt.T @ U.T), "partial_isometry", cols - rows)
+    return LearningLaw(_owned(Vt.T @ U.T))
 
 
 def contraction_mapping_law(p_matrix: np.ndarray, gain: float = 1.0) -> LearningLaw:
     """Scaled transpose of the plant matrix."""
-    rows, cols = p_matrix.shape
-    return LearningLaw(
-        _owned(gain * p_matrix.T), "contraction_mapping", cols - rows, params={"gain": float(gain)}
-    )
+    return LearningLaw(_owned(gain * p_matrix.T))
 
 
 def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw:
     """(P^T P + w I)^-1 P^T, the minimizer of ||e||^2 + w ||du||^2 per step."""
     if not 0 < weight < np.inf:
         raise ValueError("weight must be positive and finite")
-    rows, cols = p_matrix.shape
+    cols = p_matrix.shape[1]
     # P^T P + w I in place: x + 0.0 is what adding w * 0.0 does off the diagonal
     # (-0.0 becomes +0.0), and (x + 0.0) + w equals x + w on it
     system = p_matrix.T @ p_matrix
     system += 0.0
     system.flat[:: cols + 1] += weight
-    gain = _owned(np.linalg.solve(system, p_matrix.T))
-    return LearningLaw(gain, "quadratic_cost", cols - rows, params={"weight": float(weight)})
+    return LearningLaw(_owned(np.linalg.solve(system, p_matrix.T)))
 
 
 def error_propagation(p_matrix: np.ndarray, law) -> np.ndarray:

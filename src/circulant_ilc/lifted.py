@@ -10,18 +10,6 @@ from .errors import IllConditionedCirculantError, NumericalDegeneracyError
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
 from .plants import _readonly
 
-__all__ = [
-    "LiftedModel",
-    "DeletedModel",
-    "DiagonalizationReport",
-    "toeplitz_matrix",
-    "step_observability",
-    "circulant_matrix",
-    "dft_verify",
-    "circulant_inverse",
-    "delete_initial_steps",
-]
-
 # Tolerances fixed by the module contract.
 _SINGULAR_RTOL = 1e-12     # circulant eigenvalue magnitude, relative to the largest
 _IMAG_RESIDUE_TOL = 1e-10  # allowed imaginary part of the inverse, per unit of its round-off scale

@@ -12,16 +12,6 @@ from .errors import DegenerateSingularValueError
 from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
-__all__ = [
-    "OptimizerConfig",
-    "OptimizationTrace",
-    "SensitivityMap",
-    "sensitivity_matrix",
-    "sensitivity_map",
-    "descent_step",
-    "optimize",
-]
-
 _GAP_RTOL = 1e-9          # singular value gap below this (relative to sigma_1) is degenerate
 _FLAG_FACTOR = 10.0       # column flagged when its peak sensitivity exceeds median by this
 
@@ -44,8 +34,7 @@ class OptimizerConfig:
     reselect_region: bool = False
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("weight factor must be positive")
+        _check_weight(self.weight)
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.region_size < 1:
@@ -77,6 +66,11 @@ class SensitivityMap:
 
     matrix: np.ndarray
     flagged_columns: np.ndarray
+
+
+def _check_weight(weight):
+    if not 0 < weight < np.inf:  # NaN fails too
+        raise ValueError("weight factor must be positive and finite")
 
 
 def _check_gap(s: np.ndarray):
@@ -118,8 +112,7 @@ def descent_step(sigma: float, sensitivities: np.ndarray, weight: float) -> np.n
     S S^T is rank one, so the inverse acts on S as division by (S^T S + r);
     the dense solve is bypassed but reproduced to machine precision.
     """
-    if weight <= 0:
-        raise ValueError("weight factor must be positive")
+    _check_weight(weight)
     S = np.asarray(sensitivities, dtype=float)
     return -(S * sigma) / (S @ S + weight)
 
@@ -182,10 +175,5 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
             rows, cols = _top_positions(grad, rows.size)
         L[rows, cols] += descent_step(s[0], grad[rows, cols], config.weight)
 
-    law = LearningLaw(
-        L,
-        "optimized_inverse_circulant",
-        deleted.q,
-        params={"weight": config.weight, "iterations": config.iterations},
-    )
+    law = LearningLaw(L)
     return OptimizationTrace(sigma=sigma[:done], rho=rho[:done], law=law, diagnostic=diagnostic)

@@ -13,20 +13,6 @@ import numpy as np
 
 from .errors import NonFiniteSamplingError
 
-__all__ = [
-    "ContinuousPlant",
-    "ContinuousStateSpace",
-    "DiscretePlant",
-    "realize",
-    "discretize_zoh",
-    "markov_parameters",
-    "frequency_response",
-    "sampling_zeros",
-    "unstable_zero_count",
-    "Preset",
-    "PRESETS",
-]
-
 
 @dataclass(frozen=True)
 class ContinuousPlant:

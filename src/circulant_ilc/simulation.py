@@ -9,13 +9,6 @@ from .laws import LearningLaw, error_propagation, signed_svd
 from .lifted import LiftedModel
 from .plants import DiscretePlant
 
-__all__ = [
-    "SimulationResult",
-    "make_trajectory",
-    "run_ilc",
-    "worst_case_experiment",
-]
-
 
 def _yd1(t):
     return np.pi * (1.0 - np.cos(np.pi * t / 2.0)) ** 2
@@ -64,8 +57,6 @@ class SimulationResult:
     errors: np.ndarray
     deleted_errors: np.ndarray
     rms: np.ndarray
-    law_kind: str
-    q: int
 
     @property
     def iterations(self):
@@ -93,8 +84,10 @@ def run_ilc(
     desired = np.asarray(trajectory, dtype=float)
     if desired.shape != (n,):
         raise ValueError(f"trajectory shape {desired.shape} != horizon ({n},)")
-    if law.gain.shape != (n, n - q):
-        raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}, q={q}")
+    if law.gain.shape[0] != n or q < 0:
+        raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be at least 0, got {iterations}")
     u = np.zeros(n) if initial_input is None else np.array(initial_input, dtype=float)
     x0 = np.zeros(model.plant.order) if initial_state is None else np.asarray(initial_state)
     if u.shape != (n,):
@@ -114,8 +107,6 @@ def run_ilc(
             errors=errors[:count],
             deleted_errors=deleted_errors[:count],
             rms=rms[:count],
-            law_kind=law.kind,
-            q=q,
         )
 
     # Overflow is detected below as a non-finite error, not warned about.

@@ -146,6 +146,8 @@ def test_criterion_6_worst_case_stall(third):
 
 def test_criterion_7_comparison_ordering(benches, optimized):
     cases = [("third_order", 1), ("fourth_order", 2), ("fifth_order", 2)]
+    kinds = ("optimized_inverse_circulant", "partial_isometry", "contraction_mapping",
+             "quadratic_cost")  # the failure labels of the competitors, in order
     failures = []
     lines = []
     for name, q in cases:
@@ -163,7 +165,7 @@ def test_criterion_7_comparison_ordering(benches, optimized):
             opt, others = runs[0], runs[1:]
             for it in (3, 5):
                 losers = [
-                    o.law_kind for o in others if not opt.rms[it] < o.rms[it]
+                    kind for kind, o in zip(kinds[1:], others) if not opt.rms[it] < o.rms[it]
                 ]
                 if losers:
                     failures.append(f"{name}/{label}/iter{it} not below {losers}")
@@ -172,13 +174,13 @@ def test_criterion_7_comparison_ordering(benches, optimized):
                 f"best-other rms[3]={min(o.rms[3] for o in others):.2e} "
                 f"rms[5]={min(o.rms[5] for o in others):.2e}"
             )
-            for sim, law in zip(runs, competitors):
+            for sim, law, kind in zip(runs, competitors, kinds):
                 rep = analyze(error_propagation(dm.toeplitz, law))
                 if rep.monotonic:
                     # tolerance relative to the problem scale: fast laws reach
                     # the double-precision floor where the RMS merely dithers
                     if not np.all(np.diff(sim.rms) <= 1e-12 * sim.rms[0]):
-                        failures.append(f"{name}/{label}/{sim.law_kind} not monotone")
+                        failures.append(f"{name}/{label}/{kind} not monotone")
     detail = "; ".join(lines)
     if failures:
         detail += " | FAILED SUB-CHECKS: " + "; ".join(failures)
@@ -246,11 +248,11 @@ def test_criterion_8_oracle_equivalences(benches, third):
     # closed-form propagation vs direct simulation, 1e-8 (normwise)
     dm = third.deleted(1)
     traj = make_trajectory("yd1", third.plant, N)
-    for law in (
-        inverse_circulant_law(dm),
-        partial_isometry_law(dm.toeplitz),
-        contraction_mapping_law(dm.toeplitz),
-        quadratic_cost_law(dm.toeplitz),
+    for kind, law in (
+        ("inverse_circulant", inverse_circulant_law(dm)),
+        ("partial_isometry", partial_isometry_law(dm.toeplitz)),
+        ("contraction_mapping", contraction_mapping_law(dm.toeplitz)),
+        ("quadratic_cost", quadratic_cost_law(dm.toeplitz)),
     ):
         sim = run_ilc(third.model, law, traj, 10)
         E = error_propagation(dm.toeplitz, law)
@@ -258,7 +260,7 @@ def test_criterion_8_oracle_equivalences(benches, third):
         for j in range(1, 11):
             e = E @ e
             if np.linalg.norm(sim.errors[j] - e) >= 1e-8 * (1.0 + np.linalg.norm(e)):
-                failures.append(f"closed-form {law.kind} iter {j}")
+                failures.append(f"closed-form {kind} iter {j}")
                 break
 
     # DFT diagonal vs one-sample-advanced transfer, bound tied to ||A^(N-1)||

@@ -46,8 +46,9 @@ from circulant_ilc.cli import (
     _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, _flag, build_config, main
 )
 from circulant_ilc.exports import fmt
-from circulant_ilc.laws import KINDS
 from strategies import PROPERTY
+
+KINDS = tuple(_LAWS)  # the law kinds, in the order of the --law choices
 
 
 def run(args):
@@ -86,7 +87,7 @@ def degenerate_stub(monkeypatch):
     stub = OptimizationTrace(
         sigma=np.array([1.0]),
         rho=np.array([1.0]),
-        law=LearningLaw(np.eye(51, 50), "optimized_inverse_circulant", 1),
+        law=LearningLaw(np.eye(51, 50)),
         diagnostic=DegenerateSingularValueError(1.234e-09, 1.0),
     )
     monkeypatch.setattr(cli_module, "_optimize", lambda ws: stub)
@@ -158,9 +159,23 @@ def test_optimize_writes_trace_and_law(tmp_path, capsys):
     law = tmp_path / "law_optimized_inverse_circulant_N51_q1.csv"
     sidecar = json.loads((tmp_path / "law_optimized_inverse_circulant_N51_q1.json").read_text())
     assert law.exists()
-    assert sidecar["kind"] == "optimized_inverse_circulant"
-    assert sidecar["q"] == 1
+    assert sidecar == {
+        "kind": "optimized_inverse_circulant",
+        "q": 1,
+        "params": {"weight": 0.1, "iterations": 5},
+    }
     assert "sigma_max" in capsys.readouterr().out
+
+
+def test_optimize_sidecar_params_keep_the_config_values(tmp_path):
+    # the sidecar writes the config's own values: an integer weight stays 1, not 1.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"opt_weight": 1, "opt_iterations": 3, "q": 2}))
+    assert run(["optimize", "--config", config, "--out", tmp_path]) == 0
+    sidecar = json.loads((tmp_path / "law_optimized_inverse_circulant_N51_q2.json").read_text())
+    assert sidecar == {"kind": "optimized_inverse_circulant", "q": 2,
+                       "params": {"weight": 1, "iterations": 3}}
+    assert type(sidecar["params"]["weight"]) is int
 
 
 def test_optimize_fifth_order_uses_preset_region_policy(tmp_path):
@@ -227,10 +242,6 @@ def test_simulate_divergence_exits_three(tmp_path, capsys):
     assert not (out / "compare_meta.json").exists()
 
 
-def test_law_table_follows_kinds():
-    assert tuple(_LAWS) == KINDS
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_analyze_every_law_kind(tmp_path, kind):
     code = run(["analyze", "--law", kind, "--opt-iterations", 5, "--out", tmp_path])
@@ -267,21 +278,20 @@ def test_simulate_worst_case_records_the_power_it_ran(tmp_path, flag, power):
     assert run(["simulate", "--traj", "worst_case", "--iterations", 2, *flag,
                 "--out", tmp_path]) == 0
     meta = json.loads((tmp_path / "simulate_meta.json").read_text())
-    assert meta["resolved"]["power"] == power
+    # the worst case runs the accelerated law on the undeleted model
+    assert meta["resolved"] == {"traj": "worst_case", "power": power, "q": 0, "law": "accelerated"}
 
 
 def test_compare_emits_four_law_columns(tmp_path):
     assert run(["compare", "--opt-iterations", 5, "--iterations", 6,
                 "--out", tmp_path]) == 0
     header, rows = read_csv(tmp_path / "compare.csv")
-    assert header == [
-        "iteration",
-        "rms_optimized_inverse_circulant",
-        "rms_partial_isometry",
-        "rms_contraction_mapping",
-        "rms_quadratic_cost",
-    ]
+    kinds = ["optimized_inverse_circulant", "partial_isometry", "contraction_mapping",
+             "quadratic_cost"]
+    assert header == ["iteration"] + [f"rms_{kind}" for kind in kinds]
     assert len(rows) == 7
+    meta = json.loads((tmp_path / "compare_meta.json").read_text())
+    assert meta["resolved"] == {"q": 1, "laws": kinds, "traj": "yd1"}
 
 
 def test_compare_keeps_one_run_of_histories_live(tmp_path):

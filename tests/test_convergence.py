@@ -255,6 +255,14 @@ def test_gain_sweep_rejects_empty_grid(third):
         gain_sweep(third.deleted(1), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gain_sweep_rejects_a_non_finite_grid(third, bad):
+    # a bad input, not the numerical breakdown NonFiniteGainError reports
+    with pytest.raises(ValueError, match="gain grid must be finite") as caught:
+        gain_sweep(third.deleted(1), [0.5, bad])
+    assert not isinstance(caught.value, NonFiniteGainError)
+
+
 # --- the factored sweep against dense per-phi svd / eigvals -----------------
 
 

@@ -33,9 +33,12 @@ def propagation(dm, law):
     return error_propagation(dm.toeplitz, law)
 
 
-def test_learning_law_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        LearningLaw(np.eye(2), "mystery", 0)
+def test_learning_law_is_a_gain_matrix_whose_shape_gives_q():
+    for gain in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="matrix"):
+            LearningLaw(gain)
+    assert LearningLaw(np.ones((5, 3))).q == 2
+    assert LearningLaw([[1.0]]).q == 0
 
 
 def test_learning_law_shares_a_read_only_gain(third):
@@ -43,7 +46,7 @@ def test_learning_law_shares_a_read_only_gain(third):
     assert np.shares_memory(inverse_circulant_law(dm).gain, dm.circulant_inverse)
     frozen = np.ones((3, 2))
     frozen.flags.writeable = False
-    assert LearningLaw(frozen, "inverse_circulant", 1).gain is frozen
+    assert LearningLaw(frozen).gain is frozen
 
 
 def test_learning_law_copies_what_its_caller_can_write():
@@ -51,7 +54,7 @@ def test_learning_law_copies_what_its_caller_can_write():
     hidden = gain.view()  # read-only itself, but it views a writable array
     hidden.flags.writeable = False
     single = gain.astype(np.float32)
-    laws = [LearningLaw(g, "inverse_circulant", 1) for g in (gain, hidden, single)]
+    laws = [LearningLaw(g) for g in (gain, hidden, single)]
     gain[:] = 5.0
     for law in laws:
         assert law.gain.dtype == np.float64
@@ -92,7 +95,7 @@ def test_error_propagation_is_eye_minus_product_bit_for_bit():
     assert np.any((product == 0) & ~np.signbit(product) & ~np.eye(7, dtype=bool))
     expected = np.eye(7) - product
     assert error_propagation(P, L).tobytes() == expected.tobytes()
-    law = LearningLaw(L, "inverse_circulant", 2)
+    law = LearningLaw(L)
     assert error_propagation(P, law).tobytes() == expected.tobytes()
 
 
@@ -128,7 +131,6 @@ def test_signed_svd_matches_column_loop(shape):
 def test_inverse_circulant_law_is_the_deleted_inverse(third):
     dm = third.deleted(1)
     law = inverse_circulant_law(dm)
-    assert law.kind == "inverse_circulant"
     assert law.q == 1
     assert np.array_equal(law.gain, dm.circulant_inverse)
 
@@ -281,7 +283,6 @@ def test_partial_isometry_rejects_rank_deficiency():
 def test_contraction_mapping_identity():
     law = contraction_mapping_law(np.eye(3))
     assert_allclose(law.gain, np.eye(3), atol=0)
-    assert law.params["gain"] == 1.0
 
 
 def test_contraction_mapping_singular_values(third):

@@ -80,6 +80,16 @@ def test_config_validation():
         OptimizerConfig(iterations=10, weight=0.0)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0])
+def test_weight_must_be_positive_and_finite(weight):
+    # NaN passes a `weight <= 0` test: it used to end in an SVD that did not
+    # converge (OptimizerConfig) or a step of NaNs (descent_step)
+    with pytest.raises(ValueError, match="positive and finite"):
+        OptimizerConfig(iterations=3, weight=weight)
+    with pytest.raises(ValueError, match="positive and finite"):
+        descent_step(1.0, np.ones(3), weight)
+
+
 def test_sensitivity_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSingularValueError):
         sensitivity_matrix(np.eye(4), np.eye(4))  # E = 0, all sigma equal
@@ -196,7 +206,6 @@ def test_optimize_trace_shape_and_progress(third):
     assert trace.sigma.shape == (101,)
     assert trace.rho.shape == (101,)
     assert trace.diagnostic is None
-    assert trace.law.kind == "optimized_inverse_circulant"
     assert trace.law.q == 1
     # strict descent over the first hundred iterations (plateaus excepted)
     assert np.all(np.diff(trace.sigma) < 1e-12)

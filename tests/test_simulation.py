@@ -87,7 +87,7 @@ def test_zero_law_keeps_error_constant(third):
 def test_exact_inverse_converges_in_one_shot():
     plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
     model = LiftedModel.build(plant, 5)
-    law = LearningLaw(np.linalg.inv(model.toeplitz), "inverse_circulant", 0)
+    law = LearningLaw(np.linalg.inv(model.toeplitz))
     result = run_ilc(model, law, [1.0, 2.0, 0.5, -1.0, 0.0], 2)  # any length-N array
     assert np.max(np.abs(result.errors[1])) < 1e-12
     assert np.max(np.abs(result.errors[2])) < 1e-12
@@ -215,6 +215,15 @@ def test_run_rejects_mismatched_shapes(third):
         run_ilc(third.model, law, np.zeros(N - 1), 3)
     with pytest.raises(ValueError):
         run_ilc(third.model, law, np.zeros((N, 1)), 3)
+
+
+@pytest.mark.parametrize("iterations", [-1, -2])
+def test_run_rejects_negative_iterations(third, iterations):
+    law = inverse_circulant_law(third.deleted(1))
+    with pytest.raises(ValueError, match="iterations"):
+        run_ilc(third.model, law, np.zeros(N), iterations)
+    with pytest.raises(ValueError, match="iterations"):
+        worst_case_experiment(third.model, accelerated_law(third.deleted(0), 2), iterations)
 
 
 def test_run_rejects_mismatched_initial_conditions(third):
