@@ -136,80 +136,59 @@ def _eigen_condition(base):
     return wr + 1j * wi, np.where(np.isnan(cond), np.inf, cond)
 
 
-def _orthogonalize(w, Q):
-    """Remove from w, in place, its part in the span of the orthonormal rows
-    of Q, twice ("twice is enough": Parlett, The Symmetric Eigenvalue
-    Problem, on Gram-Schmidt); return w."""
-    for _ in range(2):
-        w -= Q.T @ (Q @ w)
-    return w
+def _top_rayleigh(G, start):
+    """Rayleigh quotient theta = x^T G x / x^T x of the symmetric G at its top
+    Ritz vector x from a Lanczos basis of at most min(_KRYLOV_STEPS, n)
+    vectors grown from `start`; return (theta, x).
 
-
-def _top_ritz_vector(G, start):
-    """Top Ritz vector of the symmetric G from a Lanczos basis of at most
-    min(_KRYLOV_STEPS, n) vectors grown from `start`.
-
-    The basis stops at the first step k whose Ritz residual estimate
+    Each new vector is orthogonalized against the basis twice ("twice is
+    enough": Parlett, The Symmetric Eigenvalue Problem, on Gram-Schmidt). The
+    basis stops at the first step k whose Ritz residual estimate
     beta_k |y_k| (y the top eigenvector of the tridiagonal) is at most
     sqrt(eps) times the top Ritz value: the Ritz value then errs by about the
-    residual squared over the gap to the next eigenvalue (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 13), about eps times the top
-    eigenvalue wherever that gap is of its order. (At sqrt(_SIGMA_MARGIN)
-    that error would be the size of the Cholesky margin itself, and the
-    certificate would fail at gains with a narrower gap.)
+    residual squared over the gap to the next eigenvalue (Parlett, ch. 13),
+    about eps times the top eigenvalue wherever that gap is of its order. (At
+    sqrt(_SIGMA_MARGIN) that error would be the size of the Cholesky margin
+    itself, and the certificate would fail at gains with a narrower gap.)
 
-    A Krylov space that becomes invariant to round-off, as the span of an
-    exact eigenvector does, goes on from a fixed pseudo-random vector with
-    zero coupling, so it can still reach the top eigenvector. That vector can
-    itself lie in the span (it may be the warm start), so further seeds are
-    tried until one keeps more than n eps of its norm outside it: for a
-    finite G and start every basis vector, and so the Ritz vector, is finite
-    and nonzero, and it can be the next gain's warm start. The zero
-    residual says nothing of the rest of the spectrum, so from then on only
-    the step limit ends the basis.
+    It also stops once it turns invariant, the next vector keeping at most
+    n eps of its norm: it then holds an exact eigenvector, not always the top
+    one. So a warm start that stays an eigenvector as phi moves (a normal B)
+    gives a low theta once the top eigenvector changes, and the certificate's
+    dense fallback decides that gain. x is finite and nonzero for a finite G
+    and start, and can be the next gain's warm start.
     """
     import scipy.linalg
     nrm2 = scipy.linalg.blas.dnrm2  # scaled: no overflow where w @ w would
     dstev = scipy.linalg.lapack.dstev
     n = G.shape[0]
     steps = min(_KRYLOV_STEPS, n)
-    tol = np.sqrt(_EPS)
     Q = np.empty((steps, n))  # basis vectors as rows
     alpha, beta = np.empty(steps), np.zeros(steps)
     Q[0] = start / nrm2(start)
-    invariant = False
     for k in range(steps):
         w = G @ Q[k]
         alpha[k] = Q[k] @ w
-        if k + 1 < steps:
+        last = k + 1 == steps
+        if not last:
             scale = nrm2(w)
-            norm = nrm2(_orthogonalize(w, Q[: k + 1]))
-            if norm > n * _EPS * scale:
-                beta[k] = norm
-            else:
-                invariant = True
-                seed = k
-                while not norm > n * _EPS * scale:
-                    w = np.random.default_rng(seed).standard_normal(n)
-                    scale, seed = nrm2(w), seed + steps
-                    norm = nrm2(_orthogonalize(w, Q[: k + 1]))
+            for _ in range(2):
+                w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+            beta[k] = nrm2(w)
+            last = not beta[k] > n * _EPS * scale  # invariant
         ritz, y, _ = dstev(alpha[: k + 1], beta[: max(k, 1)])  # dstev takes len(e) >= 1
-        if k + 1 == steps or not invariant and beta[k] * abs(y[k, -1]) <= tol * ritz[-1]:
-            return y[:, -1] @ Q[: k + 1]
-        Q[k + 1] = w / norm
-
-
-def _top_rayleigh(G, x):
-    """Rayleigh quotient of the symmetric G at its top Ritz vector grown from
-    x, and that vector."""
-    x = _top_ritz_vector(G, x)
+        if last or beta[k] * abs(y[k, -1]) <= np.sqrt(_EPS) * ritz[-1]:
+            break
+        Q[k + 1] = w / beta[k]
+    x = y[:, -1] @ Q[: k + 1]
     return (x @ (G @ x)) / (x @ x), x
 
 
 def _certified(G, theta, work):
-    """Whether theta (1 + _SIGMA_MARGIN) I - G has a Cholesky factor, which
-    bounds the top eigenvalue of the symmetric G by theta (1 + _SIGMA_MARGIN)
-    up to a backward error of order n eps theta. `work` is overwritten.
+    """theta where theta (1 + _SIGMA_MARGIN) I - G has a Cholesky factor,
+    which bounds the top eigenvalue of the symmetric G by theta
+    (1 + _SIGMA_MARGIN) up to a backward error of order n eps theta; else the
+    top eigenvalue from the dense eigvalsh(G). `work` is overwritten.
 
     OpenBLAS factors a matrix of NaNs without complaint: a non-finite theta
     is never certified.
@@ -219,7 +198,9 @@ def _certified(G, theta, work):
     work.reshape(-1)[:: work.shape[0] + 1] += theta * (1.0 + _SIGMA_MARGIN)
     # work is symmetric, so its transpose is the same matrix in Fortran order
     _, info = scipy.linalg.lapack.dpotrf(work.T, overwrite_a=True, clean=False)
-    return info == 0 and np.isfinite(theta)
+    if info == 0 and np.isfinite(theta):
+        return theta
+    return np.linalg.eigvalsh(G)[-1]
 
 
 def _closed_form_radius(lam_abs, bound):
@@ -256,15 +237,15 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     NonFiniteGainError.
 
     A Krylov space of G grown from the previous nonzero gain's top vector
-    (ones at the first), stopped once its Ritz residual is small, gives a Ritz
-    vector x, and its Rayleigh quotient theta = x^T G x / x^T x is at most
-    lambda (a raw Ritz value need not be once the basis loses
-    orthogonality). If theta (1 + m) I - G, m = _SIGMA_MARGIN, has a Cholesky
-    factor, it is positive definite up to a backward error of order n eps
-    times its norm, which is at most theta (1 + m) (Higham, ch. 10): so
-    lambda < theta (1 + m + c n eps), and sqrt(theta) has a relative error of
-    about m / 2. Where the factorization fails, the dense eigenvalues of G
-    are computed.
+    (ones at the first), stopped once its Ritz residual is small or it turns
+    invariant (_top_rayleigh), gives a Ritz vector x, and its Rayleigh
+    quotient theta = x^T G x / x^T x is at most lambda (a raw Ritz value need
+    not be once the basis loses orthogonality). If theta (1 + m) I - G,
+    m = _SIGMA_MARGIN, has a Cholesky factor, it is positive definite up to
+    a backward error of order n eps times its norm, which is at most
+    theta (1 + m) (Higham, ch. 10): so lambda < theta (1 + m + c n eps), and
+    sqrt(theta) has a relative error of about m / 2. Where the factorization
+    fails, the dense eigenvalues of G are computed (_certified).
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
@@ -278,8 +259,7 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     H, S = base.T @ base, base + base.T
     G, work = np.empty((n, n)), np.empty((n, n))
     theta, _ = _top_rayleigh(H, np.ones(n))
-    if not _certified(H, theta, work):
-        theta = np.linalg.eigvalsh(H)[-1]
+    theta = _certified(H, theta, work)
     norm = float(np.sqrt(theta * (1.0 + _SIGMA_MARGIN)))
     sigma = np.empty(gains.size)
     rho = np.empty(gains.size)
@@ -300,8 +280,7 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
             A = _identity_minus(np.multiply(base, phi, out=work))
             np.matmul(A.T, A, out=G)
             theta, x = _top_rayleigh(G, x)
-        if not _certified(G, theta, work):
-            theta = np.linalg.eigvalsh(G)[-1]
+        theta = _certified(G, theta, work)
         sigma[i] = np.sqrt(max(theta, 0.0))
         radius = _closed_form_radius(np.abs(1.0 - phi * mu), scale * reach)
         if radius is None:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one check of a count."""
+
+from numbers import Integral
+
+
+def check_integer(value, name):
+    """Raise ValueError naming `name` unless `value` is a Python or numpy
+    integer; a bool or a float, even a whole one, is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class ConfigError(ValueError):

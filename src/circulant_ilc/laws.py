@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientPlantError
+from .errors import RankDeficientPlantError, check_integer
 from .lifted import DeletedModel
 from .plants import _readonly
 
@@ -75,6 +75,7 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
     last power of E, which no step reads, is not formed. Each sum is written
     into its product's buffer: elementwise addition commutes, so every bit stays.
     """
+    check_integer(power, "power")
     if power < 1:
         raise ValueError("power must be at least 1")
     C = deleted.circulant_inverse

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IllConditionedCirculantError, NumericalDegeneracyError
+from .errors import IllConditionedCirculantError, NumericalDegeneracyError, check_integer
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
 from .plants import _readonly
 
@@ -60,6 +60,7 @@ class LiftedModel:
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
+        check_integer(horizon, "horizon")
         if horizon < 1:
             raise ValueError("horizon must be at least one step")
         m = markov_parameters(plant, horizon)
@@ -167,6 +168,7 @@ def delete_initial_steps(
     """
     if q is None:
         q = unstable_zero_count(model.plant)
+    check_integer(q, "q")
     n = model.horizon
     if not 0 <= q < n:
         raise ValueError(f"deletion count q = {q} must satisfy 0 <= q < N = {n}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSingularValueError
+from .errors import DegenerateSingularValueError, check_integer
 from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
@@ -35,6 +35,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_weight(self.weight)
+        check_integer(self.iterations, "iterations")
+        check_integer(self.region_size, "region_size")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.region_size < 1:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedRunError
+from .errors import DivergedRunError, check_integer
 from .laws import LearningLaw, error_propagation, signed_svd
 from .lifted import LiftedModel
 from .plants import DiscretePlant
@@ -39,6 +39,9 @@ def make_trajectory(label: str, plant: DiscretePlant, horizon: int) -> np.ndarra
     """
     if label not in _BENCHMARKS:
         raise ValueError(f"unknown trajectory {label!r}; pick one of {sorted(_BENCHMARKS)}")
+    check_integer(horizon, "horizon")
+    if horizon < 1:
+        raise ValueError("horizon must be at least one step")
     samples = _BENCHMARKS[label](np.arange(1, horizon + 1) * plant.period)
     samples.flags.writeable = False  # and so is every view of it
     return samples.view(_Samples)
@@ -86,6 +89,7 @@ def run_ilc(
         raise ValueError(f"trajectory shape {desired.shape} != horizon ({n},)")
     if law.gain.shape[0] != n or q < 0:
         raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}")
+    check_integer(iterations, "iterations")
     if iterations < 0:
         raise ValueError(f"iterations must be at least 0, got {iterations}")
     u = np.zeros(n) if initial_input is None else np.array(initial_input, dtype=float)

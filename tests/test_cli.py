@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -292,6 +293,19 @@ def test_compare_emits_four_law_columns(tmp_path):
     assert len(rows) == 7
     meta = json.loads((tmp_path / "compare_meta.json").read_text())
     assert meta["resolved"] == {"q": 1, "laws": kinds, "traj": "yd1"}
+
+
+@pytest.mark.parametrize("command, table", [
+    (["optimize", "--opt-iterations", 5], "trace.csv"),
+    (["simulate", "--iterations", 6], "rms.csv"),
+    (["compare", "--opt-iterations", 5, "--iterations", 6], "compare.csv"),
+])
+def test_printed_values_end_with_the_last_csv_row(tmp_path, capsys, command, table):
+    # what a command prints last is its final iteration, not an earlier one
+    assert run([*command, "--out", tmp_path]) == 0
+    printed = re.findall(r"= ?(\S+)", capsys.readouterr().out)
+    header, rows = read_csv(tmp_path / table)
+    assert printed[1 - len(header):] == rows[-1][1:]
 
 
 def test_compare_keeps_one_run_of_histories_live(tmp_path):

@@ -242,6 +242,14 @@ def test_accelerated_law_rejects_bad_power(third):
         accelerated_law(third.deleted(0), 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_accelerated_law_power_must_be_an_integer(third, bad):
+    with pytest.raises(ValueError, match="power must be an integer"):
+        accelerated_law(third.deleted(0), bad)
+    assert np.array_equal(accelerated_law(third.deleted(0), np.int64(2)).gain,
+                          accelerated_law(third.deleted(0), 2).gain)
+
+
 def test_accelerated_law_reaches_power_table_values(third):
     dm = third.deleted(0)
     s3 = np.linalg.svd(propagation(dm, accelerated_law(dm, 3)), compute_uv=False)

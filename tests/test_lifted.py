@@ -167,6 +167,14 @@ def test_dft_diagonal_matches_aligned_response(third):
     assert abs(diag[5] - expected) <= 5.0 * report.tail_norm
 
 
+def test_dft_tail_norm_is_the_norm_of_a_to_the_n_minus_one(third):
+    power = np.eye(third.plant.order)
+    for _ in range(N - 1):
+        power = power @ third.plant.A
+    tail = np.linalg.svd(power, compute_uv=False)[0]
+    assert dft_verify(third.model).tail_norm == pytest.approx(tail, rel=1e-9)
+
+
 def test_dft_diagonal_scalar_closed_form():
     plant = DiscretePlant(np.full((1, 1), 0.5), np.ones((1, 1)), np.ones((1, 1)), T)
     model = LiftedModel.build(plant, 60)
@@ -318,6 +326,20 @@ def test_delete_rejects_out_of_range(third):
         delete_initial_steps(third.model, third.inverse, N)
     with pytest.raises(ValueError):
         delete_initial_steps(third.model, third.inverse, -1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_delete_count_must_be_an_integer(third, bad):
+    with pytest.raises(ValueError, match="q must be an integer"):
+        delete_initial_steps(third.model, third.inverse, bad)
+    assert delete_initial_steps(third.model, third.inverse, np.int64(1)).q == 1
+
+
+@pytest.mark.parametrize("bad", [51.0, 2.5, True])
+def test_build_horizon_must_be_an_integer(third, bad):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        LiftedModel.build(third.plant, bad)
+    assert LiftedModel.build(third.plant, np.int64(4)).horizon == 4
 
 
 def test_unstable_zero_leaves_tiny_singular_value(third):

@@ -73,6 +73,15 @@ def test_region_size_must_be_positive():
         OptimizerConfig(iterations=1, region_size=0)
 
 
+@pytest.mark.parametrize("field", ["iterations", "region_size"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_config_counts_must_be_integers(field, bad):
+    # 2.5 used to construct and fail later inside numpy with a TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        OptimizerConfig(**{"iterations": 3, field: bad})
+    assert getattr(OptimizerConfig(**{"iterations": 3, field: np.int64(2)}), field) == 2
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(iterations=0)

@@ -46,6 +46,14 @@ def test_trajectory_values_at_unit_time(third):
     assert len(yd1) == N
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1])
+def test_trajectory_horizon_must_be_a_positive_integer(third, bad):
+    # 2.5 used to return 3 samples, and 0 an empty array
+    with pytest.raises(ValueError, match="horizon"):
+        make_trajectory("yd1", third.plant, bad)
+    assert make_trajectory("yd1", third.plant, np.int64(3)).shape == (3,)
+
+
 def test_trajectory_is_a_read_only_float64_array(third):
     yd1 = make_trajectory("yd1", third.plant, N)
     assert isinstance(yd1, np.ndarray) and yd1.dtype == np.float64 and yd1.shape == (N,)
@@ -224,6 +232,30 @@ def test_run_rejects_negative_iterations(third, iterations):
         run_ilc(third.model, law, np.zeros(N), iterations)
     with pytest.raises(ValueError, match="iterations"):
         worst_case_experiment(third.model, accelerated_law(third.deleted(0), 2), iterations)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_run_rejects_a_non_integer_iteration_count(third, bad):
+    law = inverse_circulant_law(third.deleted(1))
+    with pytest.raises(ValueError, match="iterations must be an integer"):
+        run_ilc(third.model, law, np.zeros(N), bad)
+    assert run_ilc(third.model, law, np.zeros(N), np.int32(2)).iterations == 2
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 7])
+def test_result_iterations_is_the_requested_count(third, iterations):
+    law = inverse_circulant_law(third.deleted(1))
+    result = run_ilc(third.model, law, make_trajectory("yd1", third.plant, N), iterations)
+    assert result.iterations == iterations
+    assert result.rms.size == iterations + 1
+
+
+def test_rms_is_the_error_norm_over_the_root_of_the_kept_steps(third):
+    q = 1
+    law = inverse_circulant_law(third.deleted(q))
+    result = run_ilc(third.model, law, make_trajectory("yd2", third.plant, N), 3)
+    expected = np.linalg.norm(result.errors, axis=1) / np.sqrt(N - q)
+    assert_allclose(result.rms, expected, rtol=1e-14, atol=0)
 
 
 def test_run_rejects_mismatched_initial_conditions(third):
