@@ -108,6 +108,10 @@ _KRYLOV_STEPS = 8
 # A^T A is taken from the Gram pair where (1 + |phi| ||B||_2)^2 is at most
 # this multiple of theta (see gain_sweep).
 _PAIR_GROWTH = 4.0
+# The low-rank core of I - B (_low_rank_core): _CORE_STEPS passes of block
+# subspace iteration from a fixed block of _CORE_WIDTH columns.
+_CORE_WIDTH = 8
+_CORE_STEPS = 2
 _EPS = np.finfo(float).eps
 
 
@@ -203,6 +207,65 @@ def _certified(G, theta, work):
     return np.linalg.eigvalsh(G)[-1]
 
 
+def _start_block(n, width):
+    """A fixed n x width block with entries in [-1/2, 1/2), rows of a lattice
+    rule: integer arithmetic and one division, so every run, platform and
+    numpy version forms the same bits."""
+    i, j = np.arange(n)[:, None], np.arange(width)[None, :]
+    return (i * (2 * j + 3) * 7919 + j * 104729) % 65521 / 65521 - 0.5
+
+
+def _low_rank_core(E, work):
+    """(M, ||M||_F, delta) with M = Z^T E Z and delta >= ||E - Z M Z^T||_2,
+    where Z has 2 _CORE_WIDTH orthonormal columns spanning the approximate
+    column and row spaces of E (Halko, Martinsson & Tropp, SIAM Rev. 2011: a
+    range finder, then _CORE_STEPS passes of block subspace iteration).
+    `work` is overwritten with the residual R = E - Z M Z^T.
+
+    delta is ||R||_F, computed, plus what that computation leaves out:
+    - the rounding of forming R. Each of the two products with inner length
+      k = 2 _CORE_WIDTH errs by at most gamma_k ||Z||_F ||M||_F (1 + eta) in
+      Frobenius norm, gamma_k = k u / (1 - k u), u = eps / 2 (Higham, ch. 3),
+      and the subtraction by u ||R||_F;
+    - Z's departure from orthonormality, eta = ||Z^T Z - I||_F: Z is within
+      eta of an orthonormal Q (its polar factor), and
+      ||Z M Z^T - Q M Q^T||_2 <= eta (2 + eta) ||M||_F;
+    - the rounding of the diagonal of E = I - B where it was formed, at most
+      u max |E_ii|.
+    eta is itself computed, so these terms hold to first order in eps, as
+    the Cholesky certificate's do (_certified).
+    """
+    P = _start_block(E.shape[0], _CORE_WIDTH)
+    for _ in range(_CORE_STEPS):
+        Q = np.linalg.qr(E @ P)[0]  # column space
+        P = np.linalg.qr(E.T @ Q)[0]  # row space
+    Z = np.linalg.qr(np.hstack((Q, P)))[0]
+    M = Z.T @ (E @ Z)
+    np.matmul(Z @ M, Z.T, out=work)
+    np.subtract(E, work, out=work)
+    k, u = Z.shape[1], _EPS / 2
+    eta = np.linalg.norm(Z.T @ Z - np.eye(k))
+    gamma = k * u / (1 - k * u)
+    rounding = eta * (2 + eta) + 2 * gamma * np.linalg.norm(Z) * (1 + eta)
+    size = float(np.linalg.norm(M))
+    delta = (1 + _EPS) * (np.linalg.norm(work) + u * np.abs(E.diagonal()).max())
+    return M, size, float(delta + rounding * size)
+
+
+def _core_sigma(core, phi):
+    """sigma_max(I - phi B) from the core (M, ||M||_F, delta) of E = I - B,
+    or None where delta does not certify it (see gain_sweep)."""
+    M, size, delta = core
+    if abs(phi) * delta > 0.5 * _SIGMA_MARGIN * (abs(1.0 - phi) + abs(phi) * size):
+        return None  # not even the bound |1 - phi| + |phi| ||M||_F on sigma certifies
+    small = phi * M
+    small.reshape(-1)[:: small.shape[0] + 1] += 1.0 - phi
+    top = max(abs(1.0 - phi), float(np.linalg.svd(small, compute_uv=False)[0]))
+    if abs(phi) * delta <= 0.5 * _SIGMA_MARGIN * top:
+        return top
+    return None
+
+
 def _closed_form_radius(lam_abs, bound):
     """max(lam_abs) when every eigenvalue that can set it has an error bound
     within _RHO_BOUND_RTOL of it; else None."""
@@ -223,9 +286,25 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     kappa_i eps (1 + |phi| ||B||_2) (Golub & Van Loan, Matrix Computations,
     7.2.2) certifies it; elsewhere the dense eigenvalues of A are computed.
 
-    sigma_max is the square root of the top eigenvalue lambda of G = A^T A.
-    G = I - phi S + phi^2 H is built in O(n^2) from the Gram pair H = B^T B,
-    S = B + B^T, formed once per sweep. Its rounding error is of order
+    sigma_max is first taken from a low-rank core of E = I - B, formed once
+    per sweep. The inverse circulant leaves only a transient: E is a map of
+    rank n_x (the plant order) plus a tail that falls as A^N, so at long
+    horizons E = Z M Z^T + R, with Z of 2 _CORE_WIDTH orthonormal columns,
+    M = Z^T E Z and ||R||_2 <= delta at rounding level (_low_rank_core).
+    A = (1 - phi) I + phi E acts as (1 - phi) I on Z's complement and as
+    (1 - phi) I + phi M on Z, so with
+    sigma_core = max(|1 - phi|, sigma_max((1 - phi) I + phi M)), Weyl's
+    inequality gives |sigma_max - sigma_core| <= |phi| delta. sigma_core is
+    taken where |phi| delta <= (m / 2) sigma_core, m = _SIGMA_MARGIN: the
+    relative error the Cholesky certificate below states. (The small SVD's
+    own backward error, of order 2 _CORE_WIDTH eps, is below a tenth of
+    that.) delta alone decides, gain by gain; where 2 _CORE_WIDTH >= n Z
+    would leave no complement, and there is no core.
+
+    At every other gain, sigma_max is the square root of the top eigenvalue
+    lambda of G = A^T A. G = I - phi S + phi^2 H is built in O(n^2) from the
+    Gram pair H = B^T B, S = B + B^T; H is formed once per sweep, S at the
+    first gain the core does not certify. Its rounding error is of order
     n eps (1 + |phi| ||B||_2)^2 rather than the n eps ||A||_2^2 = n eps lambda
     of a formed A^T A (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3). So the pair is used only where
@@ -233,19 +312,20 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     error is then at most four times the one a formed A^T A carries anyway.
     Where cancellation in A makes lambda smaller, A and A^T A are formed.
     ||B||_2 is sqrt(theta_H (1 + m)), an upper bound certified on H as below.
-    A gain whose phi^2 or (1 + |phi| ||B||_2)^2 overflows raises
+    A gain whose phi^2 + (1 + |phi| ||B||_2)^2 overflows raises
     NonFiniteGainError.
 
-    A Krylov space of G grown from the previous nonzero gain's top vector
-    (ones at the first), stopped once its Ritz residual is small or it turns
-    invariant (_top_rayleigh), gives a Ritz vector x, and its Rayleigh
-    quotient theta = x^T G x / x^T x is at most lambda (a raw Ritz value need
-    not be once the basis loses orthogonality). If theta (1 + m) I - G,
-    m = _SIGMA_MARGIN, has a Cholesky factor, it is positive definite up to
-    a backward error of order n eps times its norm, which is at most
-    theta (1 + m) (Higham, ch. 10): so lambda < theta (1 + m + c n eps), and
-    sqrt(theta) has a relative error of about m / 2. Where the factorization
-    fails, the dense eigenvalues of G are computed (_certified).
+    A Krylov space of G grown from the top vector of the previous gain on
+    this path (ones at the first), stopped once its Ritz residual is small
+    or it turns invariant (_top_rayleigh), gives a Ritz vector x, and its
+    Rayleigh quotient theta = x^T G x / x^T x is at most lambda (a raw Ritz
+    value need not be once the basis loses orthogonality). If
+    theta (1 + m) I - G, m = _SIGMA_MARGIN, has a Cholesky factor, it is
+    positive definite up to a backward error of order n eps times its norm,
+    which is at most theta (1 + m) (Higham, ch. 10): so
+    lambda < theta (1 + m + c n eps), and sqrt(theta) has a relative error
+    of about m / 2. Where the factorization fails, the dense eigenvalues of
+    G are computed (_certified).
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
@@ -256,11 +336,15 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     n = base.shape[0]
     mu, cond = _eigen_condition(base)
     scale = _EPS * cond
-    H, S = base.T @ base, base + base.T
+    H, S = base.T @ base, None
     G, work = np.empty((n, n)), np.empty((n, n))
     theta, _ = _top_rayleigh(H, np.ones(n))
     theta = _certified(H, theta, work)
     norm = float(np.sqrt(theta * (1.0 + _SIGMA_MARGIN)))
+    core = None
+    if 2 * _CORE_WIDTH < n:  # else Z would leave no complement
+        np.copyto(G, base)
+        core = _low_rank_core(_identity_minus(G), work)  # E = I - B, in G
     sigma = np.empty(gains.size)
     rho = np.empty(gains.size)
     x = np.ones(n)
@@ -271,17 +355,22 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
         reach = 1.0 + abs(phi) * norm  # Python floats overflow to inf silently
         if not math.isfinite(phi * phi + reach * reach):
             raise NonFiniteGainError(phi)
-        np.multiply(H, phi * phi, out=G)
-        np.multiply(S, phi, out=work)
-        G -= work
-        G.reshape(-1)[:: n + 1] += 1.0
-        theta, x = _top_rayleigh(G, x)
-        if reach * reach > _PAIR_GROWTH * theta:
-            A = _identity_minus(np.multiply(base, phi, out=work))
-            np.matmul(A.T, A, out=G)
+        top = _core_sigma(core, phi) if core is not None else None
+        if top is None:
+            if S is None:  # S = B + B^T; base + base.T would buffer the transpose
+                S = base.T.copy()
+                S += base
+            np.multiply(H, phi * phi, out=G)
+            np.multiply(S, phi, out=work)
+            G -= work
+            G.reshape(-1)[:: n + 1] += 1.0
             theta, x = _top_rayleigh(G, x)
-        theta = _certified(G, theta, work)
-        sigma[i] = np.sqrt(max(theta, 0.0))
+            if reach * reach > _PAIR_GROWTH * theta:
+                A = _identity_minus(np.multiply(base, phi, out=work))
+                np.matmul(A.T, A, out=G)
+                theta, x = _top_rayleigh(G, x)
+            top = np.sqrt(max(_certified(G, theta, work), 0.0))
+        sigma[i] = top
         radius = _closed_form_radius(np.abs(1.0 - phi * mu), scale * reach)
         if radius is None:
             A = _identity_minus(np.multiply(base, phi, out=work))  # _certified overwrote work

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from circulant_ilc import (
     PRESETS,
@@ -350,6 +351,28 @@ def test_sweep_minimum_at_zero_gain(tmp_path, capsys):
     assert len(rows) == 6
     assert gains[sigmas.index(min(sigmas))] == pytest.approx(0.0, abs=1e-12)
     assert "at phi = 0" in capsys.readouterr().out
+
+
+def test_sweep_default_grid_is_criterion_four(tmp_path):
+    # phi from -1 to 2 in steps of 0.05
+    assert run(["sweep", "--out", tmp_path]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert_allclose([float(r[0]) for r in rows], -1.0 + 0.05 * np.arange(61), rtol=0, atol=1e-12)
+
+
+def test_contraction_mapping_gain_defaults_to_one(tmp_path):
+    for out, flags in (("default", []), ("one", ["--law-gain", 1.0])):
+        assert run(["analyze", "--law", "contraction_mapping", "--q", 1, *flags,
+                    "--out", tmp_path / out]) == 0
+    assert (tmp_path / "default" / "table.csv").read_bytes() == (
+        tmp_path / "one" / "table.csv"
+    ).read_bytes()
+
+
+def test_presets_descend_for_their_iteration_counts():
+    # the paper's recipes: 10^3 iterations on third_order, 10^4 on the others
+    counts = {name: build_config(file_config={"plant": name}).opt_iterations for name in PRESETS}
+    assert counts == {"third_order": 1000, "fourth_order": 10000, "fifth_order": 10000}
 
 
 @pytest.mark.parametrize("gain", [1e160, 1e200])

@@ -4,6 +4,8 @@ Table values asserted here come from the benchmark reproduction; the
 acceptance suite re-checks them at the contract tolerances.
 """
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -78,7 +80,9 @@ def test_analyze_zero_matrix():
 
 
 def test_analyze_rejects_nonsquare():
-    with pytest.raises(ValueError):
+    # by its own message: numpy's LinAlgError, which eigvals raises on a
+    # nonsquare matrix, is a ValueError too
+    with pytest.raises(ValueError, match="error propagation matrix must be square"):
         analyze(np.zeros((3, 4)))
 
 
@@ -328,6 +332,34 @@ def test_gain_sweep_clustered_takes_no_dense_eigvalsh(monkeypatch):
     assert all(abs(top) < 1e-28 for top in tops), tops
 
 
+def close_pair():
+    # E = I - B holds two copies of one non-normal 2 x 2 block, 1e-14 apart,
+    # beside 36 distinct smaller values, all turned by a fixed orthogonal Q.
+    # The top two singular values of I - phi B then differ by about 1e-14
+    # relative at every gain, below the Cholesky margin but not equal, and
+    # their singular vectors turn as phi moves: a warm start alone (one
+    # Krylov step) leaves theta uncertified at every gain. E has full rank,
+    # so the core certifies no gain either.
+    n = 40
+    block = np.array([[3.0, 5.0], [0.0, 1.0]])
+    E = np.diag(np.r_[0.0, 0.0, 0.0, 0.0, np.linspace(0.2, 0.6, n - 4)])
+    E[:2, :2], E[2:4, 2:4] = block, block * (1 + 1e-14)
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+    return DeletedModel(q=0, toeplitz=np.eye(n) - Q @ E @ Q.T, circulant_inverse=np.eye(n))
+
+
+def test_gain_sweep_close_top_pair_takes_no_dense_eigvalsh(monkeypatch):
+    deleted = close_pair()
+    sigma, rho = dense_sweep(deleted, GRID)
+    calls = count_calls(monkeypatch, np.linalg, ("eigvalsh",))
+    chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    sweep = gain_sweep(deleted, GRID)
+    assert calls == {"eigvalsh": []}
+    assert len(chol["dpotrf"]) == GRID.size  # ||B||_2 and every nonzero gain
+    assert_allclose(sweep.sigma_max, sigma, rtol=1e-12, atol=0)
+    assert_allclose(sweep.spectral_radius, rho, rtol=1e-9, atol=0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", [0.3025, 0.5, 1.0, 7.0, -2.0])
 def test_krylov_invariant_basis_stops(c):
@@ -440,3 +472,135 @@ def test_gain_sweep_dense_eigvalsh_only_where_certificate_fails(monkeypatch):
     sweep = gain_sweep(normal, GRID)
     exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
     assert_allclose(sweep.sigma_max, exact, rtol=1e-15)
+
+
+def test_gain_sweep_dense_fallback_takes_the_top_eigenvalue(monkeypatch, third):
+    # every Cholesky certificate fails, so ||B||_2 and each gain's sigma_max
+    # come from the dense eigvalsh
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **_: (a, 1))
+    calls = count_calls(monkeypatch, np.linalg, ("eigvalsh",))
+    gains = [-0.5, 0.5, 1.0, 2.0]
+    assert_sweep_matches_dense(third.deleted(1), gains)
+    assert len(calls["eigvalsh"]) == 1 + len(gains)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gain_sweep_overflow_test_includes_the_norm_margin():
+    # B = [[b]]: ||B||_2 is taken as b sqrt(1 + _SIGMA_MARGIN). At this phi,
+    # (1 + |phi| b)^2 is finite, and only the margin's share of ||B||_2
+    # makes (1 + |phi| ||B||_2)^2 overflow.
+    b = 2.0**100
+    phi = math.sqrt(sys.float_info.max) / b * (1 - convergence._SIGMA_MARGIN / 4)
+    assert math.isfinite((1 + phi * b) ** 2)
+    deleted = DeletedModel(q=0, toeplitz=np.array([[b]]), circulant_inverse=np.eye(1))
+    with pytest.raises(NonFiniteGainError):
+        gain_sweep(deleted, [phi])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gain_sweep_overflow_test_is_on_the_sum():
+    # phi^2 and (1 + |phi| ||B||_2)^2 are each finite at B = I, but their sum
+    # overflows: the sweep names the gain
+    phi = math.sqrt(0.6 * sys.float_info.max)
+    assert math.isfinite(phi * phi) and math.isfinite((1 + phi) ** 2)
+    deleted = DeletedModel(q=0, toeplitz=np.eye(1), circulant_inverse=np.eye(1))
+    with pytest.raises(NonFiniteGainError):
+        gain_sweep(deleted, [phi])
+
+
+# --- the low-rank core of I - B against the Krylov path ----------------------
+
+
+def preset_deleted(name, n):
+    """The preset's deleted model at horizon n."""
+    preset = PRESETS[name]
+    model = LiftedModel.build(discretize_zoh(realize(preset.plant), 1 / preset.sample_hz), n)
+    return delete_initial_steps(model, circulant_inverse(model), preset.q)
+
+
+def test_gain_sweep_core_certifies_a_long_horizon(monkeypatch):
+    # At N = 256 the transient tail of fourth_order is far below rounding:
+    # every nonzero gain takes sigma_max from the core, with no Krylov run or
+    # Cholesky factor beyond the one pair that bounds ||B||_2.
+    deleted = preset_deleted("fourth_order", 256)
+    calls = count_calls(monkeypatch, convergence, ("_top_rayleigh",))
+    calls.update(count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",)))
+    calls.update(count_calls(monkeypatch, np.linalg, ("eigvalsh",)))
+    sweep = gain_sweep(deleted, GRID)
+    n = deleted.toeplitz.shape[0]
+    assert calls == {"_top_rayleigh": [(n, n)], "dpotrf": [(n, n)], "eigvalsh": []}
+    monkeypatch.undo()
+    sigma, rho = dense_sweep(deleted, GRID[::5])
+    assert_allclose(sweep.sigma_max[::5], sigma, rtol=1e-12, atol=0)
+    assert_allclose(sweep.spectral_radius[::5], rho, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", ["third_order", "fourth_order", "fifth_order"])
+def test_gain_sweep_presets_take_the_krylov_path(monkeypatch, benches, name):
+    # At N = 51 the tail is 3.4e-3 to 2.3e-2 of the core: every nonzero gain
+    # runs the Krylov path, and its Cholesky certificate accepts every theta
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    calls.update(count_calls(monkeypatch, np.linalg, ("eigvalsh",)))
+    gain_sweep(benches[name].deleted(PRESETS[name].q), GRID)
+    assert len(calls["dpotrf"]) == GRID.size  # ||B||_2 and 60 nonzero gains
+    assert calls["eigvalsh"] == []
+
+
+def test_gain_sweep_mixes_the_core_and_the_krylov_path(monkeypatch):
+    # At N = 88 the fourth-order tail sits just above rounding: delta
+    # certifies a few small gains, and the rest take the Krylov path, its
+    # warm start carried across the gains the core took
+    deleted = preset_deleted("fourth_order", 88)
+    base = deleted.toeplitz @ deleted.circulant_inverse
+    n = base.shape[0]
+    _, _, delta = convergence._low_rank_core(np.eye(n) - base, np.empty((n, n)))
+    chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    sweep = gain_sweep(deleted, GRID)
+    sigma, rho = dense_sweep(deleted, GRID)
+    certified = (GRID != 0) & (np.abs(GRID) * delta <= 0.5 * convergence._SIGMA_MARGIN * sigma)
+    assert 0 < np.count_nonzero(certified) < np.count_nonzero(GRID)
+    assert len(chol["dpotrf"]) == 1 + np.count_nonzero(GRID) - np.count_nonzero(certified)
+    assert_allclose(sweep.sigma_max, sigma, rtol=1e-12, atol=0)
+    assert_allclose(sweep.spectral_radius, rho, rtol=1e-9, atol=0)
+
+
+def test_gain_sweep_rank_above_the_core_width_falls_back(monkeypatch):
+    # A 12th-order plant leaves I - B of rank 10 above rounding at N = 96,
+    # more than a block of _CORE_WIDTH = 8 columns finds: the core certifies
+    # no gain, and the sweep still matches dense. A block of 12 finds it.
+    plant = ContinuousPlant(second_order=(
+        (30.0, 0.7), (37.0, 0.6), (50.0, 0.5), (62.0, 0.5), (74.0, 0.5), (100.0, 0.4)
+    ))
+    model = LiftedModel.build(discretize_zoh(realize(plant), T), 96)
+    deleted = delete_initial_steps(model, circulant_inverse(model))
+    gains = GRID[::6]
+    chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    assert_sweep_matches_dense(deleted, gains)
+    assert len(chol["dpotrf"]) == 1 + np.count_nonzero(gains)
+    chol["dpotrf"].clear()
+    monkeypatch.setattr(convergence, "_CORE_WIDTH", 12)
+    assert_sweep_matches_dense(deleted, gains)
+    assert len(chol["dpotrf"]) == 1
+
+
+def test_gain_sweep_core_needs_a_complement():
+    # At n = 2 _CORE_WIDTH, Z can span the whole space and leave (1 - phi) I
+    # no complement to act on. On E = I / 2 the core would then certify
+    # max(|1 - phi|, |1 - phi / 2|), wrong wherever |1 - phi| is the larger.
+    n = 2 * convergence._CORE_WIDTH
+    deleted = DeletedModel(q=0, toeplitz=np.eye(n) / 2, circulant_inverse=np.eye(n))
+    sweep = gain_sweep(deleted, GRID)
+    assert_allclose(sweep.sigma_max, np.abs(1 - GRID / 2), rtol=1e-15, atol=0)
+
+
+def test_gain_sweep_core_counts_the_complement(monkeypatch):
+    # E = diag(I_16 / 2, 0) at n = 40: Z spans E's range exactly, and
+    # A = (1 - phi) I + phi E is (1 - phi / 2) I on Z and (1 - phi) I on its
+    # complement, the larger at every phi < 0, where the core certifies
+    n, half = 40, np.r_[np.full(16, 0.5), np.zeros(24)]
+    deleted = DeletedModel(q=0, toeplitz=np.eye(n) - np.diag(half), circulant_inverse=np.eye(n))
+    gains = GRID[GRID < 0]
+    chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
+    sweep = gain_sweep(deleted, gains)
+    assert len(chol["dpotrf"]) == 1  # ||B||_2 alone
+    assert_allclose(sweep.sigma_max, 1 - gains, rtol=1e-15, atol=0)

@@ -103,6 +103,17 @@ def test_fifth_order_realization_dc_gain(fifth):
     assert abs(state_space_transfer(fifth.css, 0.0) - 1.0) < 1e-12
 
 
+def test_fifth_order_is_third_order_times_the_74_rad_s_section(benches):
+    # the paper's fifth-order plant adds fourth_order's 74 rad/s pair to the
+    # third-order one: its poles are the 8.8 rad/s pole and both pairs
+    poles = {
+        name: np.sort_complex(np.linalg.eigvals(bench.css.A)) for name, bench in benches.items()
+    }
+    expected = np.sort_complex(np.r_[poles["third_order"], poles["fourth_order"][[0, 1]]])
+    assert_allclose(poles["fourth_order"][[0, 1]].real, -37.0, rtol=1e-12)
+    assert_allclose(poles["fifth_order"], expected, rtol=1e-12)
+
+
 def test_realizations_are_stable(benches):
     for bench in benches.values():
         assert np.max(np.linalg.eigvals(bench.css.A).real) < 0
