@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, laws, optimizer, simulation
-from .errors import ConfigError, NumericalDegeneracyError
+from .errors import ConfigError, NumericalDegeneracyError, check_integer, check_real
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, Preset, discretize_zoh, realize
@@ -35,7 +35,7 @@ _MAX_ENTRIES = 2**24
 
 def _setting(default, help=None, *, flag=None, choices=None, least=None):
     """A config field that declares its command-line flag (default --name-with-dashes)
-    and its bound: an integer must be at least `least`, a float above it."""
+    and its bound: an integer is at least `least`, a float above it."""
     metadata = {"help": help, "flag": flag, "choices": choices, "least": least}
     return field(default=default, metadata=metadata)
 
@@ -187,17 +187,14 @@ def _configure(args, file_config):
 def _validate(cfg: ExperimentConfig):
     for f in fields(ExperimentConfig):
         value, least = getattr(cfg, f.name), f.metadata["least"]
-        if f.type is int or (f.type == int | None and value is not None):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f.name, f"must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise ConfigError(f.name, f"must be at least {least}")
-        elif f.type is float:
-            if not (_is_number(value) and abs(value) <= sys.float_info.max):  # NaN and inf fail
-                raise ConfigError(f.name, f"must be a finite number, got {value!r}")
-            if least is not None and value <= least:
-                raise ConfigError(f.name, "must be positive" if least == 0 else f"must be above {least}")
-        elif f.type is str and not isinstance(value, str):
+        try:
+            if f.type is int or (f.type == int | None and value is not None):
+                check_integer(value, f.name, least)
+            elif f.type is float:
+                check_real(value, f.name, least)
+        except ValueError as exc:  # "<name> <rule>", printed as "<name>: <rule>"
+            raise ConfigError(f.name, str(exc).removeprefix(f"{f.name} ")) from None
+        if f.type is str and not isinstance(value, str):
             raise ConfigError(f.name, f"must be a string, got {value!r}")
         if f.metadata["choices"] and value not in f.metadata["choices"]:
             raise ConfigError(f.name, f"must be one of {f.metadata['choices']}")

@@ -328,6 +328,8 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     G are computed (_certified).
     """
     gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 1:
+        raise ValueError("gain grid must be one-dimensional")
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
     if not np.isfinite(gains).all():

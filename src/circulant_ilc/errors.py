@@ -1,13 +1,32 @@
-"""Exception types shared across the package, and its one check of a count."""
+"""Exception types shared across the package, and its checks of a count and of a real
+number: each raises ValueError "<name> <rule>", which the CLI prints as "<name>: <rule>"."""
 
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 
-def check_integer(value, name):
-    """Raise ValueError naming `name` unless `value` is a Python or numpy
-    integer; a bool or a float, even a whole one, is not."""
+def check_integer(value, name, least=None):
+    """Raise ValueError naming `name` unless `value` is a Python or numpy integer
+    (a bool or a float, even a whole one, is not) of at least `least`, if given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
+def check_real(value, name, above=None):
+    """Raise ValueError naming `name` unless `value` is a finite real number (not
+    a bool; an int of any size compares exactly) above `above`, if given."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if above is not None:
+        check_above(value, name, above)
+
+
+def check_above(value, name, bound):
+    """Raise ValueError naming `name` unless `value` is above `bound`; NaN is not."""
+    if not value > bound:
+        raise ValueError(f"{name} must be positive" if bound == 0 else f"{name} must be above {bound}")
 
 
 class ConfigError(ValueError):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientPlantError, check_integer
+from .errors import RankDeficientPlantError, check_integer, check_real
 from .lifted import DeletedModel
 from .plants import _readonly
 
@@ -62,6 +62,7 @@ def inverse_circulant_law(deleted: DeletedModel) -> LearningLaw:
 
 def scaled_inverse_circulant_law(deleted: DeletedModel, overall_gain: float) -> LearningLaw:
     """Deleted inverse circulant scaled by a single overall gain."""
+    check_real(overall_gain, "overall_gain")
     return LearningLaw(_owned(overall_gain * deleted.circulant_inverse))
 
 
@@ -75,9 +76,7 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
     last power of E, which no step reads, is not formed. Each sum is written
     into its product's buffer: elementwise addition commutes, so every bit stays.
     """
-    check_integer(power, "power")
-    if power < 1:
-        raise ValueError("power must be at least 1")
+    check_integer(power, "power", least=1)
     C = deleted.circulant_inverse
     E = error_propagation(deleted.toeplitz, C)
     eye = np.eye(E.shape[0])
@@ -102,13 +101,13 @@ def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
 
 def contraction_mapping_law(p_matrix: np.ndarray, gain: float = 1.0) -> LearningLaw:
     """Scaled transpose of the plant matrix."""
+    check_real(gain, "gain")
     return LearningLaw(_owned(gain * p_matrix.T))
 
 
 def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw:
     """(P^T P + w I)^-1 P^T, the minimizer of ||e||^2 + w ||du||^2 per step."""
-    if not 0 < weight < np.inf:
-        raise ValueError("weight must be positive and finite")
+    check_real(weight, "weight", above=0)
     cols = p_matrix.shape[1]
     # P^T P + w I in place: x + 0.0 is what adding w * 0.0 does off the diagonal
     # (-0.0 becomes +0.0), and (x + 0.0) + w equals x + w on it

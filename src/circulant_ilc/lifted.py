@@ -60,9 +60,7 @@ class LiftedModel:
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
-        check_integer(horizon, "horizon")
-        if horizon < 1:
-            raise ValueError("horizon must be at least one step")
+        check_integer(horizon, "horizon", least=1)
         m = markov_parameters(plant, horizon)
         circulant = _circulant(m)
         fields = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSingularValueError, check_integer
+from .errors import DegenerateSingularValueError, check_integer, check_real
 from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
@@ -34,13 +34,9 @@ class OptimizerConfig:
     reselect_region: bool = False
 
     def __post_init__(self):
-        _check_weight(self.weight)
-        check_integer(self.iterations, "iterations")
-        check_integer(self.region_size, "region_size")
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.region_size < 1:
-            raise ValueError("region size must be at least 1")
+        check_real(self.weight, "weight", above=0)
+        check_integer(self.iterations, "iterations", least=1)
+        check_integer(self.region_size, "region_size", least=1)
 
 
 @dataclass(frozen=True)
@@ -68,11 +64,6 @@ class SensitivityMap:
 
     matrix: np.ndarray
     flagged_columns: np.ndarray
-
-
-def _check_weight(weight):
-    if not 0 < weight < np.inf:  # NaN fails too
-        raise ValueError("weight factor must be positive and finite")
 
 
 def _check_gap(s: np.ndarray):
@@ -114,7 +105,7 @@ def descent_step(sigma: float, sensitivities: np.ndarray, weight: float) -> np.n
     S S^T is rank one, so the inverse acts on S as division by (S^T S + r);
     the dense solve is bypassed but reproduced to machine precision.
     """
-    _check_weight(weight)
+    check_real(weight, "weight", above=0)
     S = np.asarray(sensitivities, dtype=float)
     return -(S * sigma) / (S @ S + weight)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSamplingError
+from .errors import NonFiniteSamplingError, check_above, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class ContinuousPlant:
         object.__setattr__(self, "second_order", so)
         if not fo and not so:
             raise ValueError("plant needs at least one section")
-        if not all(x > 0 for x in fo + sum(so, ())):  # all(x > 0), not any(x <= 0): NaN fails
-            raise ValueError("section parameters a, omega and zeta must be positive")
+        for x in fo + sum(so, ()):  # NaN is not above 0; inf is, and overflows below
+            check_above(x, "section parameters a, omega and zeta", 0)
         if not np.isfinite([*fo, *(x for w, z in so for x in (w * w, 2.0 * z * w))]).all():
             raise ValueError("realization overflows: a, omega**2 or 2*zeta*omega is not finite")
 
@@ -86,8 +86,7 @@ class DiscretePlant(_StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 < self.period < np.inf:  # NaN fails too
-            raise ValueError("sample period must be positive and finite")
+        check_real(self.period, "period", above=0)
 
 
 def _series(first, second):
@@ -123,8 +122,7 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
     imaginary part reaches pi/T aliases onto a slower one: a RuntimeWarning.
     An exponential that overflows raises NonFiniteSamplingError.
     """
-    if not 0 < period < np.inf:  # NaN fails too
-        raise ValueError("sample period must be positive and finite")
+    check_real(period, "period", above=0)
     import scipy.linalg  # loaded on first use: importing the package does not load scipy
     n = css.order
     nyquist = np.pi / period
@@ -143,8 +141,7 @@ def discretize_zoh(css: ContinuousStateSpace, period: float) -> DiscretePlant:
 
 def markov_parameters(plant: DiscretePlant, count: int) -> np.ndarray:
     """First `count` unit-pulse response samples C A^r B, r = 0 .. count-1."""
-    if count < 1:
-        raise ValueError("need at least one Markov parameter")
+    check_integer(count, "count", least=1)
     out = np.empty(count)
     v = plant.B.copy()
     for r in range(count):

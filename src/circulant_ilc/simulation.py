@@ -39,9 +39,7 @@ def make_trajectory(label: str, plant: DiscretePlant, horizon: int) -> np.ndarra
     """
     if label not in _BENCHMARKS:
         raise ValueError(f"unknown trajectory {label!r}; pick one of {sorted(_BENCHMARKS)}")
-    check_integer(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be at least one step")
+    check_integer(horizon, "horizon", least=1)
     samples = _BENCHMARKS[label](np.arange(1, horizon + 1) * plant.period)
     samples.flags.writeable = False  # and so is every view of it
     return samples.view(_Samples)
@@ -89,9 +87,7 @@ def run_ilc(
         raise ValueError(f"trajectory shape {desired.shape} != horizon ({n},)")
     if law.gain.shape[0] != n or q < 0:
         raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}")
-    check_integer(iterations, "iterations")
-    if iterations < 0:
-        raise ValueError(f"iterations must be at least 0, got {iterations}")
+    check_integer(iterations, "iterations", least=0)
     u = np.zeros(n) if initial_input is None else np.array(initial_input, dtype=float)
     x0 = np.zeros(model.plant.order) if initial_state is None else np.asarray(initial_state)
     if u.shape != (n,):

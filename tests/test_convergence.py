@@ -259,6 +259,12 @@ def test_gain_sweep_rejects_empty_grid(third):
         gain_sweep(third.deleted(1), [])
 
 
+def test_gain_sweep_rejects_a_grid_of_more_than_one_dimension(third):
+    # [[0.5, 1.0]] passed the finite check and failed in tolist() with a TypeError
+    with pytest.raises(ValueError, match="^gain grid must be one-dimensional$"):
+        gain_sweep(third.deleted(1), [[0.5, 1.0]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gain_sweep_rejects_a_non_finite_grid(third, bad):
     # a bad input, not the numerical breakdown NonFiniteGainError reports
@@ -308,17 +314,50 @@ def clustered():
     return delete_initial_steps(model, circulant_inverse(model), 34)
 
 
-def test_gain_sweep_clustered_singular_values():
+def record_core_split(monkeypatch):
+    """The gains whose sigma_max the low-rank core certifies or rejects, and the
+    shapes of the Krylov runs (_top_rayleigh calls) of one sweep."""
+    split = {"certified": [], "rejected": [], "_top_rayleigh": []}
+    core_sigma, top_rayleigh = convergence._core_sigma, convergence._top_rayleigh
+
+    def recorded_core(core, phi):
+        top = core_sigma(core, phi)
+        split["rejected" if top is None else "certified"].append(phi)
+        return top
+
+    def recorded_top(G, start):
+        split["_top_rayleigh"].append(G.shape)
+        return top_rayleigh(G, start)
+
+    monkeypatch.setattr(convergence, "_core_sigma", recorded_core)
+    monkeypatch.setattr(convergence, "_top_rayleigh", recorded_top)
+    return split
+
+
+def assert_clustered_split(split, n):
+    # E = I - B is rounding noise, so the core certifies every nonzero gain but
+    # phi = 1, where sigma_max is that noise and no relative bound holds. The
+    # Krylov basis runs once for ||B||_2 and twice at phi = 1, where the
+    # cancellation guard forms A = I - B.
+    nonzero = GRID[GRID != 0.0]
+    assert split["rejected"] == [1.0]
+    assert split["certified"] == [phi for phi in nonzero.tolist() if phi != 1.0]
+    assert split["_top_rayleigh"] == [(n, n)] * 3
+
+
+def test_gain_sweep_clustered_singular_values(monkeypatch):
     # LAPACK's subset eigensolvers (scipy.linalg.eigh with subset_by_index and
     # the "evr" or "evx" routine) raise LinAlgError on A^T A at six points of
     # this grid (OpenBLAS 0.3.31).
-    assert_sweep_matches_dense(clustered(), GRID)
+    deleted = clustered()
+    split = record_core_split(monkeypatch)
+    assert_sweep_matches_dense(deleted, GRID)
+    assert_clustered_split(split, deleted.toeplitz.shape[0])
 
 
 def test_gain_sweep_clustered_takes_no_dense_eigvalsh(monkeypatch):
-    # The cluster stops no Krylov basis short of a certified theta. Only at
-    # phi = 1, where I - B is rounding noise, may that noise leave theta
-    # uncertified (Haswell and Prescott, once).
+    # Only phi = 1 takes the Krylov path; there I - B is rounding noise, which
+    # may leave theta uncertified (Haswell and Prescott, once).
     deleted, tops = clustered(), []
     eigvalsh = np.linalg.eigvalsh
 
@@ -327,8 +366,10 @@ def test_gain_sweep_clustered_takes_no_dense_eigvalsh(monkeypatch):
         tops.append(values[-1])
         return values
 
+    split = record_core_split(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     gain_sweep(deleted, GRID)
+    assert_clustered_split(split, deleted.toeplitz.shape[0])
     assert all(abs(top) < 1e-28 for top in tops), tops
 
 

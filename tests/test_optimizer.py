@@ -69,7 +69,7 @@ def test_region_size_sets_the_corner_blocks(third, k, overlap):
 
 
 def test_region_size_must_be_positive():
-    with pytest.raises(ValueError, match="region size"):
+    with pytest.raises(ValueError, match="^region_size must be at least 1"):
         OptimizerConfig(iterations=1, region_size=0)
 
 
@@ -93,9 +93,9 @@ def test_config_validation():
 def test_weight_must_be_positive_and_finite(weight):
     # NaN passes a `weight <= 0` test: it used to end in an SVD that did not
     # converge (OptimizerConfig) or a step of NaNs (descent_step)
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="^weight must be (positive|a finite number)"):
         OptimizerConfig(iterations=3, weight=weight)
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="^weight must be (positive|a finite number)"):
         descent_step(1.0, np.ones(3), weight)
 
 
