@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, laws, optimizer, simulation
-from .errors import ConfigError, NumericalDegeneracyError, check_integer, check_real
+from .errors import ConfigError, NumericalDegeneracyError, check_integer, check_real, shown
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
 from .plants import PRESETS, ContinuousPlant, Preset, discretize_zoh, realize
@@ -81,7 +81,7 @@ class ExperimentConfig:
     # a config file may also give an inline plant spec dict
     plant: object = _setting("third_order", "preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
     n: int = _setting(51, "horizon length in steps", least=1)
-    sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz")
+    sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz", least=0.0)
     q: int | None = _setting(None, "deleted initial steps (analyze defaults to 0, other commands to the plant default)")
     law: str = _setting("inverse_circulant", "learning law kind", choices=tuple(_LAWS))
     power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)", least=1)
@@ -99,17 +99,8 @@ class ExperimentConfig:
     out: str = _setting(".", "output directory")
 
 
-def _is_number(value):
-    """A float, or an int (not a bool) within the float range."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, float)
-
-
 def _is_section(entry):
-    return isinstance(entry, dict) and set(entry) == {"omega", "zeta"} and all(
-        map(_is_number, entry.values())
-    )
+    return isinstance(entry, dict) and set(entry) == {"omega", "zeta"}
 
 
 def _parse_plant_dict(spec):
@@ -119,7 +110,8 @@ def _parse_plant_dict(spec):
     if unknown:
         raise ConfigError("plant", f"unknown plant field {sorted(unknown)[0]!r}")
     first, second = spec.get("first_order", []), spec.get("second_order", [])
-    if not (isinstance(first, (list, tuple)) and all(map(_is_number, first))):
+    # the JSON shape only: ContinuousPlant checks each number
+    if not isinstance(first, (list, tuple)):
         raise ConfigError("plant", "first_order must be a list of numbers")
     if not (isinstance(second, (list, tuple)) and all(map(_is_section, second))):
         raise ConfigError("plant", "each second_order entry needs numeric omega and zeta, nothing else")
@@ -184,22 +176,27 @@ def _configure(args, file_config):
     return cfg, preset
 
 
+def _checked(name, call, *args):
+    """call(*args), with a check's ValueError "<name> <rule>" raised as the
+    ConfigError "<name>: <rule>"."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from None
+
+
 def _validate(cfg: ExperimentConfig):
     for f in fields(ExperimentConfig):
         value, least = getattr(cfg, f.name), f.metadata["least"]
-        try:
-            if f.type is int or (f.type == int | None and value is not None):
-                check_integer(value, f.name, least)
-            elif f.type is float:
-                check_real(value, f.name, least)
-        except ValueError as exc:  # "<name> <rule>", printed as "<name>: <rule>"
-            raise ConfigError(f.name, str(exc).removeprefix(f"{f.name} ")) from None
+        if f.type is int or (f.type == int | None and value is not None):
+            _checked(f.name, check_integer, value, f.name, least)
+        elif f.type is float:
+            _checked(f.name, check_real, value, f.name, least)
         if f.type is str and not isinstance(value, str):
-            raise ConfigError(f.name, f"must be a string, got {value!r}")
+            raise ConfigError(f.name, f"must be a string, got {shown(value)}")
         if f.metadata["choices"] and value not in f.metadata["choices"]:
             raise ConfigError(f.name, f"must be one of {f.metadata['choices']}")
-    if not (cfg.sample_hz > 0 and np.isfinite(1.0 / cfg.sample_hz)):
-        raise ConfigError("sample_hz", "sample rate must be positive, with a finite period")
+    _checked("sample_hz", check_real, 1.0 / cfg.sample_hz, "period")
     if cfg.phi_max < cfg.phi_min:
         raise ConfigError("phi_max", "must not be below phi_min")
     steps = (cfg.phi_max - cfg.phi_min) / cfg.phi_step
@@ -213,8 +210,8 @@ def _validate(cfg: ExperimentConfig):
     ):
         if value > limit:  # the limit, not the value: an int can have 4300 digits
             raise ConfigError(name, f"at most {limit} fits the {_MAX_ENTRIES}-entry memory budget")
-    if cfg.q is not None and not 0 <= cfg.q < cfg.n:  # after the budget: n then prints short
-        raise ConfigError("q", f"must satisfy 0 <= q < {cfg.n}")
+    if cfg.q is not None:  # after the budget: n then prints short
+        _checked("q", check_integer, cfg.q, "q", 0, cfg.n)
 
 
 @dataclass(frozen=True)
@@ -238,10 +235,7 @@ def _workspace(cfg: ExperimentConfig, preset: Preset, default_q=None) -> _Worksp
     q = cfg.q if cfg.q is not None else default_q
     if q is None:
         q = preset.q
-    try:
-        deleted = delete_initial_steps(model, inverse, q)  # q None: unstable zero count
-    except ValueError as exc:
-        raise ConfigError("q", str(exc)) from None
+    deleted = _checked("q", delete_initial_steps, model, inverse, q)  # q None: unstable zero count
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -387,8 +381,7 @@ def _integer(text):
     try:
         return int(text)
     except ValueError:  # also past Python's 4300-digit limit
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"invalid integer {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid integer {shown(text)}") from None
 
 
 _FLAG_TYPES = {int: _integer, int | None: _integer, float: float}  # other fields: the string

@@ -1,32 +1,40 @@
 """Exception types shared across the package, and its checks of a count and of a real
-number: each raises ValueError "<name> <rule>", which the CLI prints as "<name>: <rule>"."""
+number: each raises ValueError "<name> <rule>", which the CLI prints as "<name>: <rule>",
+and shows a rejected value through `shown`."""
 
 import sys
 from numbers import Integral, Real
 
 
-def check_integer(value, name, least=None):
+def shown(value):
+    """repr(value) when its text (a string itself, anything else its repr) has at most
+    20 characters, else the first 20 characters of that text and their count."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # an int past Python's 4300-digit limit for int-to-str conversion
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def check_integer(value, name, least=None, below=None):
     """Raise ValueError naming `name` unless `value` is a Python or numpy integer
-    (a bool or a float, even a whole one, is not) of at least `least`, if given."""
+    (a bool or a float, even a whole one, is not) of at least `least` and below
+    `below`, each if given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}")
+    if below is not None and value >= below:
+        raise ValueError(f"{name} must be below {below}")
 
 
 def check_real(value, name, above=None):
     """Raise ValueError naming `name` unless `value` is a finite real number (not
     a bool; an int of any size compares exactly) above `above`, if given."""
     if isinstance(value, bool) or not (isinstance(value, Real) and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if above is not None:
-        check_above(value, name, above)
-
-
-def check_above(value, name, bound):
-    """Raise ValueError naming `name` unless `value` is above `bound`; NaN is not."""
-    if not value > bound:
-        raise ValueError(f"{name} must be positive" if bound == 0 else f"{name} must be above {bound}")
+        raise ValueError(f"{name} must be a finite number, got {shown(value)}")
+    if above is not None and not value > above:
+        raise ValueError(f"{name} must be positive" if above == 0 else f"{name} must be above {above}")
 
 
 class ConfigError(ValueError):

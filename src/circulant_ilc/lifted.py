@@ -166,10 +166,7 @@ def delete_initial_steps(
     """
     if q is None:
         q = unstable_zero_count(model.plant)
-    check_integer(q, "q")
-    n = model.horizon
-    if not 0 <= q < n:
-        raise ValueError(f"deletion count q = {q} must satisfy 0 <= q < N = {n}")
+    check_integer(q, "q", least=0, below=model.horizon)
     return DeletedModel(
         q=q, toeplitz=_readonly(model.toeplitz[q:]), circulant_inverse=_readonly(inverse[:, q:])
     )

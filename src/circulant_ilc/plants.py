@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSamplingError, check_above, check_integer, check_real
+from .errors import NonFiniteSamplingError, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,15 @@ class ContinuousPlant:
     second_order: tuple = ()
 
     def __post_init__(self):
+        for x in (*self.first_order, *(x for section in self.second_order for x in section)):
+            check_real(x, "section parameters a, omega and zeta", above=0)
         fo = tuple(float(a) for a in self.first_order)
         so = tuple((float(w), float(z)) for w, z in self.second_order)
         object.__setattr__(self, "first_order", fo)
         object.__setattr__(self, "second_order", so)
         if not fo and not so:
             raise ValueError("plant needs at least one section")
-        for x in fo + sum(so, ()):  # NaN is not above 0; inf is, and overflows below
-            check_above(x, "section parameters a, omega and zeta", 0)
-        if not np.isfinite([*fo, *(x for w, z in so for x in (w * w, 2.0 * z * w))]).all():
+        if not np.isfinite([x for w, z in so for x in (w * w, 2.0 * z * w)]).all():
             raise ValueError("realization overflows: a, omega**2 or 2*zeta*omega is not finite")
 
 

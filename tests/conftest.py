@@ -74,20 +74,14 @@ def fifth(benches):
 def optimized(benches):
     """The full-length benchmark descent runs, shared across tests (they dominate runtime).
 
-    Each run takes its region policy from the preset, so the tests check the
-    law the CLI ships for that plant.
+    Each run takes its descent length and region policy from the preset, so the
+    tests check the law the CLI ships for that plant.
     """
     runs = {}
-    recipes = {
-        ("third_order", 1): 1000,
-        ("third_order", 0): 1000,
-        ("fourth_order", 2): 10000,
-        ("fifth_order", 2): 10000,
-    }
-    for (name, q), iterations in recipes.items():
-        deleted = benches[name].deleted(q)
+    for name, q in (("third_order", 1), ("third_order", 0), ("fourth_order", 2), ("fifth_order", 2)):
+        preset = PRESETS[name]
         config = OptimizerConfig(
-            iterations=iterations, reselect_region=PRESETS[name].reselect_region
+            iterations=preset.optimizer_iterations, reselect_region=preset.reselect_region
         )
-        runs[(name, q)] = optimize(deleted, config)
+        runs[(name, q)] = optimize(benches[name].deleted(q), config)
     return runs

@@ -507,8 +507,8 @@ def test_power_is_outside_the_budget(tmp_path):
                 "--out", tmp_path]) == 0
 
 
-BOUNDS = {"n": 1, "power": 1, "opt_iterations": 1, "region_size": 1, "iterations": 0,
-          "opt_weight": 0.0, "law_weight": 0.0, "phi_step": 0.0}
+BOUNDS = {"n": 1, "sample_hz": 0.0, "power": 1, "opt_iterations": 1, "region_size": 1,
+          "iterations": 0, "opt_weight": 0.0, "law_weight": 0.0, "phi_step": 0.0}
 
 
 def test_bounds_are_declared_with_their_settings():
@@ -518,12 +518,14 @@ def test_bounds_are_declared_with_their_settings():
 
 @pytest.mark.parametrize("name, least", BOUNDS.items(), ids=list(BOUNDS))
 def test_each_bound_admits_its_edge(name, least):
-    # integers: at least `least`; floats: above it. A one-point grid lets phi_step be tiny.
+    # integers: at least `least`; floats: above it. A one-point grid lets phi_step be tiny;
+    # a sample rate's period must be finite as well, so its edge is 5.6e-309 Hz
     grid = {"phi_min": 0.0, "phi_max": 0.0}
     if isinstance(least, int):
         edge, outside, message = least, [least - 1, -(10**5000)], f"must be at least {least}"
     else:
-        edge, outside, message = 5e-324, [0.0, -0.0, -1.0], "must be positive"
+        edge = 5.56268464626801e-309 if name == "sample_hz" else 5e-324
+        outside, message = [0.0, -0.0, -1.0], "must be positive"
     assert getattr(build_config(None, {**grid, name: edge}), name) == edge
     for value in outside:
         with pytest.raises(ConfigError, match=f"^{name}: {message}$"):
@@ -551,23 +553,27 @@ def test_budget_message_is_compact(tmp_path, capsys, digits, q):
     assert err.startswith("configuration error: n:") and len(err.encode()) < 200, err
 
 
+SECTION = "section parameters a, omega and zeta must be a finite number,"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
         ({"second_order": [{"omega": 37}]}, "each second_order entry needs numeric omega and zeta"),
         ({"second_order": ["x"]}, "each second_order entry needs numeric omega and zeta"),
-        ({"second_order": [{"omega": 37, "zeta": "0.5"}]}, "each second_order entry"),
+        ({"second_order": [{"omega": 37, "zeta": "0.5"}]}, f"{SECTION} got '0.5'"),
         ({"second_order": [{"omega": 37, "zeta": 0.5, "gain": 2}]}, "each second_order entry"),
         ({"first_order": 5}, "first_order must be a list of numbers"),
-        ({"first_order": ["x"]}, "first_order must be a list of numbers"),
-        ({"first_order": [10**400]}, "first_order must be a list of numbers"),
+        ({"first_order": ["x"]}, f"{SECTION} got 'x'"),
+        ({"first_order": [10**400]}, f"{SECTION} got '1{'0' * 19}'... (401 characters)"),
     ],
     ids=["missing_zeta", "string_entry", "string_zeta", "extra_field", "number", "string_pole",
          "pole_beyond_float"],
 )
 def test_plant_sections_say_what_is_wrong(tmp_path, capsys, spec, message):
     # these used to print Python's own words: plant: 'zeta', plant: string indices
-    # must be integers, not 'str', plant: 'int' object is not iterable
+    # must be integers, not 'str', plant: 'int' object is not iterable. The shape is
+    # the CLI's check, each number ContinuousPlant's
     plant = tmp_path / "plant.json"
     plant.write_text(json.dumps(spec))
     assert run(["analyze", "--plant", plant, "--out", tmp_path / "out"]) == 2
@@ -840,7 +846,7 @@ def test_cli_fuzz_exits_cleanly(command, config, plant_file):
     "command, config, plant_file, code, message",
     [
         ("analyze", {}, NAN_POLE, 2, "plant: section parameters"),
-        ("analyze", {}, INF_POLE, 2, "plant: realization overflows"),
+        ("analyze", {}, INF_POLE, 2, f"plant: {SECTION} got inf"),
         ("analyze", {}, HUGE_OMEGA, 2, "plant: realization overflows"),
         ("analyze", {}, HUGE_ZETA, 2, "plant: realization overflows"),
         ("analyze", {"law": {}}, None, 2, "law: must be a string"),
@@ -851,19 +857,30 @@ def test_cli_fuzz_exits_cleanly(command, config, plant_file):
          "error propagation matrix has a non-finite entry"),
         ("analyze", {"n": None}, None, 2, "n: must be an integer"),
         ("analyze", {"sample_hz": 10**400}, None, 2, "sample_hz: must be a finite number"),
-        ("analyze", {"sample_hz": 5e-324}, None, 2, "sample_hz: sample rate must be positive"),
+        ("analyze", {"sample_hz": 5e-324}, None, 2,
+         "sample_hz: period must be a finite number, got inf"),
         ("analyze", 5, None, 2, "config: expected a JSON object"),
         ("compare", {"traj": "worst_case"}, None, 2, "traj: compare runs"),
+        # the first three printed the whole value: 5,050, 6,057 and 4,063 bytes of stderr
+        ("analyze", {"n": "x" * 5000}, None, 2,
+         "n: must be an integer, got 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ("analyze", {"n": [0] * 2000}, None, 2,
+         "n: must be an integer, got '[0, 0, 0, 0, 0, 0, 0'... (6000 characters)"),
+        ("analyze", {"phi": 10**3999}, None, 2,
+         f"phi: must be a finite number, got '1{'0' * 19}'... (4000 characters)"),
+        ("analyze", {}, {"first_order": [10**3999]}, 2,
+         f"plant: {SECTION} got '1{'0' * 19}'... (4000 characters)"),
     ],
     ids=["nan_pole", "inf_pole", "huge_omega", "huge_zeta", "dict_law", "out_not_dir",
          "phi_1e308", "gain_1e300_cubed", "null_n", "int_hz_beyond_float",
-         "hz_with_infinite_period", "config_not_object", "compare_worst_case"],
+         "hz_with_infinite_period", "config_not_object", "compare_worst_case",
+         "long_string_n", "long_list_n", "long_int_phi", "long_int_pole"],
 )
 def test_reproduced_tracebacks_exit_with_one_line(command, config, plant_file, code, message):
-    # each of these used to end in a traceback (exit 1)
+    # each of these used to end in a traceback (exit 1) or to print a long value whole
     got, err = _fuzz_run(command, config, plant_file)
     assert got == code
-    assert message in err
+    assert message in err and len(err.encode()) < 200, err
 
 
 def test_plant_and_config_files_fail_closed(tmp_path, capsys):

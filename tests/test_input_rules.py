@@ -1,19 +1,23 @@
 """The input rules of every API entry point that takes a count or a real number.
 
-A count must be an integer of at least its bound; a real number must be finite
-and, where it has a bound, above it. Each entry point raises ValueError with the
-parameter's name first, then the rule, in the words the CLI prints after a field.
+A count must be an integer of at least its bound (and, for a deletion count,
+below the horizon); a real number must be finite and, where it has a bound, above
+it. Each entry point raises ValueError with the parameter's name first, then the
+rule, in the words the CLI prints after a field, and shows a rejected value the
+one way `errors.shown` does: its repr up to 20 characters, else cut.
 """
 
 import numpy as np
 import pytest
 
 from circulant_ilc import (
+    ContinuousPlant,
     DiscretePlant,
     LiftedModel,
     OptimizerConfig,
     accelerated_law,
     contraction_mapping_law,
+    delete_initial_steps,
     descent_step,
     discretize_zoh,
     inverse_circulant_law,
@@ -22,7 +26,9 @@ from circulant_ilc import (
     quadratic_cost_law,
     run_ilc,
     scaled_inverse_circulant_law,
+    worst_case_experiment,
 )
+from circulant_ilc.errors import shown
 
 
 def _run(bench, iterations):
@@ -30,17 +36,26 @@ def _run(bench, iterations):
     return run_ilc(bench.model, inverse_circulant_law(bench.deleted(1)), trajectory, iterations)
 
 
-# (entry point, parameter, least count, call on the third-order bench and the value)
+def _worst_case(bench, iterations):
+    return worst_case_experiment(bench.model, accelerated_law(bench.deleted(0), 2), iterations)
+
+
+# (entry point, parameter, least count, call on the third-order bench and the value);
+# a deletion count must also be below the bench's horizon, N = 51
 COUNTS = [
     ("OptimizerConfig", "iterations", 1, lambda b, v: OptimizerConfig(iterations=v)),
     ("OptimizerConfig", "region_size", 1, lambda b, v: OptimizerConfig(3, region_size=v)),
     ("run_ilc", "iterations", 0, _run),
+    ("worst_case_experiment", "iterations", 0, _worst_case),
     ("make_trajectory", "horizon", 1, lambda b, v: make_trajectory("yd1", b.plant, v)),
     ("accelerated_law", "power", 1, lambda b, v: accelerated_law(b.deleted(1), v)),
     ("LiftedModel.build", "horizon", 1, lambda b, v: LiftedModel.build(b.plant, v)),
     # 2.5 and True used to end in numpy's TypeError from np.empty(count)
     ("markov_parameters", "count", 1, lambda b, v: markov_parameters(b.plant, v)),
+    # q = 51 used to read "deletion count q = 51 must satisfy 0 <= q < N = 51"
+    ("delete_initial_steps", "q", 0, lambda b, v: delete_initial_steps(b.model, b.inverse, v)),
 ]
+BELOW = {"delete_initial_steps": 51}
 
 # (entry point, parameter, the bound a value must lie above or None, call)
 REALS = [
@@ -55,19 +70,30 @@ REALS = [
      lambda b, v: scaled_inverse_circulant_law(b.deleted(1), v)),
     ("contraction_mapping_law", "gain", None,
      lambda b, v: contraction_mapping_law(b.deleted(1).toeplitz, v)),
+    # '3' and True used to construct, None to end in a TypeError and 10**400 in an
+    # OverflowError; inf used to read "realization overflows"
+    ("ContinuousPlant.a", "section parameters a, omega and zeta", 0,
+     lambda b, v: ContinuousPlant(first_order=(v,))),
+    ("ContinuousPlant.omega", "section parameters a, omega and zeta", 0,
+     lambda b, v: ContinuousPlant(second_order=((v, 0.5),))),
+    ("ContinuousPlant.zeta", "section parameters a, omega and zeta", 0,
+     lambda b, v: ContinuousPlant(second_order=((37.0, v),))),
 ]
 
 
 def _cases():
     for entry, name, least, call in COUNTS:
-        for value in (2.5, True, np.nan, np.inf):
+        for value in (2.5, True, np.nan, np.inf, float(least)):  # even a whole float
             yield entry, call, value, f"{name} must be an integer, got {value!r}"
         yield entry, call, least - 1, f"{name} must be at least {least}"
+        if entry in BELOW:
+            yield entry, call, BELOW[entry], f"{name} must be below {BELOW[entry]}"
     for entry, name, above, call in REALS:  # 2.5 is a valid real
-        for value in (True, np.nan, np.inf, -np.inf):
-            yield entry, call, value, f"{name} must be a finite number, got {value!r}"
+        for value in (True, np.nan, np.inf, -np.inf, "3", None, 10**400):
+            yield entry, call, value, f"{name} must be a finite number, got {shown(value)}"
         if above is not None:  # the bound itself is the largest value outside
-            yield entry, call, float(above), f"{name} must be positive"
+            for value in (float(above), -1.0):
+                yield entry, call, value, f"{name} must be positive"
 
 
 CASES = list(_cases())
@@ -77,7 +103,7 @@ CASES = list(_cases())
 @pytest.mark.parametrize(
     "call, value, message",
     [case[1:] for case in CASES],
-    ids=[f"{entry}-{message.split()[0]}-{value!r}" for entry, _, value, message in CASES],
+    ids=[f"{entry}-{message.split()[0]}-{shown(value)}" for entry, _, value, message in CASES],
 )
 def test_entry_point_names_the_rule_a_value_breaks(third, call, value, message):
     with pytest.raises(ValueError) as caught:
@@ -87,4 +113,22 @@ def test_entry_point_names_the_rule_a_value_breaks(third, call, value, message):
 
 @pytest.mark.parametrize("entry, name, least, call", COUNTS, ids=[c[0] for c in COUNTS])
 def test_counts_accept_a_numpy_integer_at_the_bound(third, entry, name, least, call):
-    call(third, np.int64(least))
+    for value in (np.int64(least), np.int32(least + 1)):  # and one above it
+        call(third, value)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ("x" * 20, "'" + "x" * 20 + "'"),
+        ("x" * 5000, "'" + "x" * 20 + "'... (5000 characters)"),
+        ([0] * 2000, "'[0, 0, 0, 0, 0, 0, 0'... (6000 characters)"),
+        (10**3999, "'1" + "0" * 19 + "'... (4000 characters)"),
+        (10**5000, "an integer of 16610 bits"),  # its repr is past Python's 4300 digits
+    ],
+    ids=["string_of_20", "string_of_5000", "list_of_2000", "int_of_4000_digits",
+         "int_of_5001_digits"],
+)
+def test_a_rejected_value_is_shown_in_at_most_20_characters(value, text):
+    # a check used to echo the whole repr: 5,000 characters for the string
+    assert shown(value) == text

@@ -330,11 +330,6 @@ def test_quadratic_cost_large_weight_freezes_learning(third):
     assert np.max(np.abs(propagation(dm, law) - np.eye(50))) < 1e-9
 
 
-def test_quadratic_cost_rejects_bad_weight(third):
-    with pytest.raises(ValueError):
-        quadratic_cost_law(third.deleted(1).toeplitz, 0.0)
-
-
 @pytest.mark.parametrize("weight", [-1.0, np.inf, np.nan])
 def test_quadratic_cost_rejects_weight_outside_the_positive_reals(third, weight):
     with pytest.raises(ValueError, match="^weight must be (positive|a finite number)"):

@@ -321,13 +321,6 @@ def test_property_default_deletion_is_unstable_zero_count(plant, n):
     assert np.array_equal(deleted.circulant_inverse, inverse[:, count:])
 
 
-def test_delete_rejects_out_of_range(third):
-    with pytest.raises(ValueError):
-        delete_initial_steps(third.model, third.inverse, N)
-    with pytest.raises(ValueError):
-        delete_initial_steps(third.model, third.inverse, -1)
-
-
 @pytest.mark.parametrize("bad", [1.5, 1.0, True])
 def test_delete_count_must_be_an_integer(third, bad):
     with pytest.raises(ValueError, match="q must be an integer"):
