@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convergence, laws, optimizer, simulation
+import circulant_ilc as ilc  # the other layers load on a command's first call (PEP 562)
 from .errors import ConfigError, NumericalDegeneracyError, check_integer, check_real, shown
 from .exports import fmt, matrix_filename, write_json, write_matrix, write_rows
 from .lifted import DeletedModel, LiftedModel, circulant_inverse, delete_initial_steps
@@ -41,13 +41,13 @@ def _setting(default, help=None, *, flag=None, choices=None, least=None):
 
 
 def _optimize(ws):
-    config = optimizer.OptimizerConfig(
+    config = ilc.OptimizerConfig(
         iterations=ws.cfg.opt_iterations,
         weight=ws.cfg.opt_weight,
         region_size=ws.cfg.region_size,
         reselect_region=ws.preset.reselect_region,
     )
-    return optimizer.optimize(ws.deleted, config)
+    return ilc.optimize(ws.deleted, config)
 
 
 def _optimized_law(ws):
@@ -60,17 +60,17 @@ def _optimized_law(ws):
 # The one list of law kinds, in the order of the --law choices. Each constructor takes
 # the _Workspace and reads its own parameter from the config.
 _LAWS = {
-    "inverse_circulant": lambda ws: laws.inverse_circulant_law(ws.deleted),
+    "inverse_circulant": lambda ws: ilc.inverse_circulant_law(ws.deleted),
     "optimized_inverse_circulant": _optimized_law,
-    "accelerated": lambda ws: laws.accelerated_law(ws.deleted, ws.cfg.power),
-    "scaled_inverse_circulant": lambda ws: laws.scaled_inverse_circulant_law(
+    "accelerated": lambda ws: ilc.accelerated_law(ws.deleted, ws.cfg.power),
+    "scaled_inverse_circulant": lambda ws: ilc.scaled_inverse_circulant_law(
         ws.deleted, ws.cfg.phi
     ),
-    "partial_isometry": lambda ws: laws.partial_isometry_law(ws.deleted.toeplitz),
-    "contraction_mapping": lambda ws: laws.contraction_mapping_law(
+    "partial_isometry": lambda ws: ilc.partial_isometry_law(ws.deleted.toeplitz),
+    "contraction_mapping": lambda ws: ilc.contraction_mapping_law(
         ws.deleted.toeplitz, ws.cfg.law_gain
     ),
-    "quadratic_cost": lambda ws: laws.quadratic_cost_law(ws.deleted.toeplitz, ws.cfg.law_weight),
+    "quadratic_cost": lambda ws: ilc.quadratic_cost_law(ws.deleted.toeplitz, ws.cfg.law_weight),
 }
 
 
@@ -247,10 +247,10 @@ def _workspace(cfg: ExperimentConfig, preset: Preset, default_q=None) -> _Worksp
 def cmd_analyze(ws: _Workspace):
     cfg = ws.cfg
     law = _LAWS[cfg.law](ws)
-    E = laws.error_propagation(ws.deleted.toeplitz, law)
+    E = ilc.error_propagation(ws.deleted.toeplitz, law)
     if cfg.power > 1 and cfg.law != "accelerated":
         E = np.linalg.matrix_power(E, cfg.power)
-    report = convergence.analyze(E)
+    report = ilc.analyze(E)
     spectra = zip(report.singular_values, report.eigenvalue_magnitudes)
     write_rows(
         ws.out / "table.csv",
@@ -300,13 +300,13 @@ def cmd_simulate(ws: _Workspace):
     try:
         if cfg.traj == "worst_case":
             kind, power = "accelerated", cfg.power if cfg.power > 1 else 6
-            law = laws.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
+            law = ilc.accelerated_law(delete_initial_steps(ws.model, ws.inverse, 0), power)
             resolved["power"] = power
-            result = simulation.worst_case_experiment(ws.model, law, cfg.iterations)
+            result = ilc.worst_case_experiment(ws.model, law, cfg.iterations)
         else:
             kind, law = cfg.law, _LAWS[cfg.law](ws)
-            traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
-            result = simulation.run_ilc(ws.model, law, traj, cfg.iterations)
+            traj = ilc.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
+            result = ilc.run_ilc(ws.model, law, traj, cfg.iterations)
     except NumericalDegeneracyError as exc:
         if exc.result is None:  # the law broke down before any run
             raise
@@ -327,10 +327,10 @@ def cmd_compare(ws: _Workspace):
         "optimized_inverse_circulant", "partial_isometry", "contraction_mapping", "quadratic_cost"
     )
     compared = [_LAWS[kind](ws) for kind in kinds]
-    traj = simulation.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
+    traj = ilc.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
     # only the rms: one run's histories are live at a time
     rms = {
-        kind: simulation.run_ilc(ws.model, law, traj, cfg.iterations).rms
+        kind: ilc.run_ilc(ws.model, law, traj, cfg.iterations).rms
         for kind, law in zip(kinds, compared)
     }
     header = ["iteration"] + [f"rms_{kind}" for kind in rms]
@@ -342,9 +342,10 @@ def cmd_compare(ws: _Workspace):
 
 def cmd_sweep(ws: _Workspace):
     cfg = ws.cfg
-    count = int(round((cfg.phi_max - cfg.phi_min) / cfg.phi_step))
+    # 1e-9 of a step absorbs the quotient's rounding: no point passes phi_max by more
+    count = math.floor((cfg.phi_max - cfg.phi_min) / cfg.phi_step + 1e-9)
     grid = cfg.phi_min + cfg.phi_step * np.arange(count + 1)
-    sweep = convergence.gain_sweep(ws.deleted, grid)
+    sweep = ilc.gain_sweep(ws.deleted, grid)
     write_rows(
         ws.out / "sweep.csv",
         ["phi", "sigma_max", "spectral_radius"],
@@ -358,7 +359,7 @@ def cmd_sweep(ws: _Workspace):
 
 
 def cmd_sensitivity(ws: _Workspace):
-    surface = optimizer.sensitivity_map(ws.deleted)
+    surface = ilc.sensitivity_map(ws.deleted)
     write_matrix(ws.out / matrix_filename("sensitivity", ws.cfg.n, ws.deleted.q), surface.matrix)
     print(f"flagged columns: {surface.flagged_columns.tolist()}")
     return {"q": ws.deleted.q, "flagged_columns": surface.flagged_columns.tolist()}, None
@@ -435,9 +436,10 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """The process entry point: main, then gc.freeze(), so the interpreter's
-    shutdown collections skip every object the command leaves. Output and exit
+    """The process entry point: main with the cyclic collector off, then gc.freeze(),
+    so shutdown collections skip every object the command leaves. Output and exit
     codes (argparse's SystemExit too) are main's; in-process callers use main."""
+    gc.disable()
     try:
         return main(argv)
     finally:

@@ -35,7 +35,7 @@ class ContinuousPlant:
         if not fo and not so:
             raise ValueError("plant needs at least one section")
         if not np.isfinite([x for w, z in so for x in (w * w, 2.0 * z * w)]).all():
-            raise ValueError("realization overflows: a, omega**2 or 2*zeta*omega is not finite")
+            raise ValueError("realization overflows: omega**2 or 2*zeta*omega is not finite")
 
 
 def _readonly(a):

@@ -353,6 +353,17 @@ def test_sweep_minimum_at_zero_gain(tmp_path, capsys):
     assert "at phi = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "phi_max, step, gains",
+    [(1.0, 0.6, [0.0, 0.6]), (0.3, 0.1, [0.0, 0.1, 0.2, 0.3])],  # 0.3 / 0.1 < 3 by rounding
+)
+def test_sweep_grid_ends_at_phi_max(tmp_path, phi_max, step, gains):
+    assert run(["sweep", "--phi-min", 0, "--phi-max", phi_max, "--phi-step", step,
+                "--out", tmp_path]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert_allclose([float(r[0]) for r in rows], gains, rtol=0, atol=1e-15)
+
+
 def test_sweep_default_grid_is_criterion_four(tmp_path):
     # phi from -1 to 2 in steps of 0.05
     assert run(["sweep", "--out", tmp_path]) == 0
@@ -979,9 +990,9 @@ FREEZE = textwrap.dedent(
     out = sys.argv[1]
     counts = []
     assert main(["analyze", "--out", out]) == 0
-    counts.append(gc.get_freeze_count())
+    counts += [gc.get_freeze_count(), gc.isenabled()]
     assert run(["analyze", "--out", out]) == 0
-    counts.append(gc.get_freeze_count())
+    counts += [gc.get_freeze_count(), gc.isenabled()]
     gc.unfreeze()
     try:
         run(["analyze", "--law", "nope", "--out", out])
@@ -994,14 +1005,15 @@ FREEZE = textwrap.dedent(
 
 
 def test_run_freezes_the_gc_and_main_does_not(tmp_path):
+    # run also leaves the collector off; main leaves it on
     proc = _child(["-c", FREEZE, tmp_path], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    after_main, after_run, argparse_code, after_argparse_exit = map(
-        int, proc.stdout.splitlines()[-1].split()
+    after_main, on_after_main, after_run, on_after_run, argparse_code, after_argparse_exit = (
+        proc.stdout.splitlines()[-1].split()
     )
-    assert after_main == 0
-    assert after_run > 0
-    assert argparse_code == 2 and after_argparse_exit > 0
+    assert (after_main, on_after_main) == ("0", "True")
+    assert int(after_run) > 0 and on_after_run == "False"
+    assert argparse_code == "2" and int(after_argparse_exit) > 0
 
 
 def test_files_are_read_and_written_as_utf8(tmp_path):

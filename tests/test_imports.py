@@ -57,6 +57,20 @@ LAZY = textwrap.dedent(
     """
 )
 
+COMMAND_LAYERS = textwrap.dedent(
+    """
+    import sys
+
+    def layers():
+        return sorted(m.split(".")[1] for m in sys.modules if m.startswith("circulant_ilc."))
+
+    import circulant_ilc.cli
+    assert layers() == ["cli", "errors", "exports", "lifted", "plants"], layers()
+    assert circulant_ilc.cli.main(sys.argv[1:]) == 0
+    print(*layers())
+    """
+)
+
 # Every public name of the package, under the layer that defines it.
 EXPORTS = {
     "errors": [
@@ -137,3 +151,19 @@ def test_import_and_config_errors_leave_scipy_unloaded(tmp_path):
     proc = _run_fresh(GUARD, str(tmp_path))
     assert proc.stdout == "ok\n"
     assert proc.stderr.count("configuration error") == 2
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("analyze", ["convergence", "laws"]),
+        ("sweep", ["convergence", "laws"]),
+        ("simulate", ["laws", "simulation"]),
+        ("sensitivity", ["laws", "optimizer"]),
+        ("optimize", ["laws", "optimizer"]),
+    ],
+)
+def test_cli_command_loads_only_its_layers(tmp_path, command, layers):
+    args = [command, "--plant", "third_order", "--opt-iterations", "5", "--out", str(tmp_path)]
+    loaded = _run_fresh(COMMAND_LAYERS, *args).stdout.splitlines()[-1].split()
+    assert loaded == sorted(["cli", "errors", "exports", "lifted", "plants", *layers])
