@@ -421,9 +421,13 @@ def main(argv=None) -> int:
         if args.command == "compare" and cfg.traj == "worst_case":  # the accelerated law's own
             raise ConfigError("traj", "compare runs the yd1 or yd2 trajectory")
         ws = _workspace(cfg, preset, _DEFAULT_Q.get(args.command))
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
-            resolved, stopped = _COMMANDS[args.command](ws)
-        write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
+                resolved, stopped = _COMMANDS[args.command](ws)
+            write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})
+        except OSError as exc:  # an artifact write: a directory in a file's place, a full disk
+            path = cfg.out if exc.filename is None else exc.filename
+            raise ConfigError("out", f"cannot write {path!r}: {exc.strerror}") from None
         if stopped is not None:
             raise stopped
         return 0

@@ -908,6 +908,29 @@ def test_plant_and_config_files_fail_closed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "blocker",
+    [
+        "directory",
+        pytest.param("full_disk", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")),
+    ],
+)
+def test_a_failed_artifact_write_names_out(tmp_path, capsys, blocker):
+    # each used to end in a traceback (exit 1): IsADirectoryError, and an OSError
+    # "No space left on device" that names no file, once the table is flushed
+    table = tmp_path / "table.csv"
+    if blocker == "directory":
+        table.mkdir()
+        where, reason = table, "Is a directory"
+    else:
+        table.symlink_to("/dev/full")
+        where, reason = tmp_path, "No space left on device"
+    assert run(["analyze", "--plant", "third_order", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: out: cannot write {str(where)!r}: {reason}\n"
+
+
 def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys, third):
     # the entries are finite, only the Frobenius norm overflows: not a degeneracy
     assert run(["analyze", "--law", "contraction_mapping", "--law-gain", 1e308,

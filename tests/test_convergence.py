@@ -334,30 +334,10 @@ def record_core_split(monkeypatch):
     return split
 
 
-def assert_clustered_split(split, n):
-    # E = I - B is rounding noise, so the core certifies every nonzero gain but
-    # phi = 1, where sigma_max is that noise and no relative bound holds. The
-    # Krylov basis runs once for ||B||_2 and twice at phi = 1, where the
-    # cancellation guard forms A = I - B.
-    nonzero = GRID[GRID != 0.0]
-    assert split["rejected"] == [1.0]
-    assert split["certified"] == [phi for phi in nonzero.tolist() if phi != 1.0]
-    assert split["_top_rayleigh"] == [(n, n)] * 3
-
-
 def test_gain_sweep_clustered_singular_values(monkeypatch):
     # LAPACK's subset eigensolvers (scipy.linalg.eigh with subset_by_index and
     # the "evr" or "evx" routine) raise LinAlgError on A^T A at six points of
     # this grid (OpenBLAS 0.3.31).
-    deleted = clustered()
-    split = record_core_split(monkeypatch)
-    assert_sweep_matches_dense(deleted, GRID)
-    assert_clustered_split(split, deleted.toeplitz.shape[0])
-
-
-def test_gain_sweep_clustered_takes_no_dense_eigvalsh(monkeypatch):
-    # Only phi = 1 takes the Krylov path; there I - B is rounding noise, which
-    # may leave theta uncertified (Haswell and Prescott, once).
     deleted, tops = clustered(), []
     eigvalsh = np.linalg.eigvalsh
 
@@ -368,8 +348,16 @@ def test_gain_sweep_clustered_takes_no_dense_eigvalsh(monkeypatch):
 
     split = record_core_split(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    gain_sweep(deleted, GRID)
-    assert_clustered_split(split, deleted.toeplitz.shape[0])
+    assert_sweep_matches_dense(deleted, GRID)
+    # E = I - B is rounding noise, so the core certifies every nonzero gain but
+    # phi = 1, where sigma_max is that noise and no relative bound holds. The
+    # Krylov basis runs once for ||B||_2 and twice at phi = 1, where the
+    # cancellation guard forms A = I - B; its theta may stay uncertified there
+    # (Haswell and Prescott, once), and a dense eigvalsh then sees only that noise.
+    n = deleted.toeplitz.shape[0]
+    assert split["rejected"] == [1.0]
+    assert split["certified"] == [phi for phi in GRID.tolist() if phi not in (0.0, 1.0)]
+    assert split["_top_rayleigh"] == [(n, n)] * 3
     assert all(abs(top) < 1e-28 for top in tops), tops
 
 
@@ -399,6 +387,19 @@ def test_gain_sweep_close_top_pair_takes_no_dense_eigvalsh(monkeypatch):
     assert len(chol["dpotrf"]) == GRID.size  # ||B||_2 and every nonzero gain
     assert_allclose(sweep.sigma_max, sigma, rtol=1e-12, atol=0)
     assert_allclose(sweep.spectral_radius, rho, rtol=1e-9, atol=0)
+
+
+def test_krylov_stop_is_relative_to_the_top_ritz_value():
+    # A top eigenvalue 1 gapped from 39 others in [0.1, 0.5]: at every scale the
+    # basis runs until its residual is small next to theta. A stop test against
+    # sqrt(eps) / theta instead would end the basis after one step at scale 1e-6.
+    n = 40
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+    G = (Q * np.r_[np.linspace(0.1, 0.5, n - 1), 1.0]) @ Q.T
+    start = np.random.default_rng(1).standard_normal(n)
+    for scale in (1e-6, 1.0, 1e6):
+        theta, _ = convergence._top_rayleigh(scale * G, start)
+        assert theta == pytest.approx(scale, rel=1e-8, abs=0), scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,8 +4,14 @@ A count must be an integer of at least its bound (and, for a deletion count,
 below the horizon); a real number must be finite and, where it has a bound, above
 it. Each entry point raises ValueError with the parameter's name first, then the
 rule, in the words the CLI prints after a field, and shows a rejected value the
-one way `errors.shown` does: its repr up to 20 characters, else cut.
+one way `errors.shown` does: its repr up to 20 characters, else cut. A count it
+accepts, a numpy integer too, it keeps as given. Each rule's text is written only in
+errors.py.
 """
+
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +34,8 @@ from circulant_ilc import (
     scaled_inverse_circulant_law,
     worst_case_experiment,
 )
-from circulant_ilc.errors import shown
+from circulant_ilc import errors
+from circulant_ilc.errors import check_real, shown
 
 
 def _run(bench, iterations):
@@ -40,20 +47,34 @@ def _worst_case(bench, iterations):
     return worst_case_experiment(bench.model, accelerated_law(bench.deleted(0), 2), iterations)
 
 
-# (entry point, parameter, least count, call on the third-order bench and the value);
-# a deletion count must also be below the bench's horizon, N = 51
+def _power(bench, law):
+    """The power whose accelerated law `law` is, bit for bit: a law keeps only its gain."""
+    gains = {p: accelerated_law(bench.deleted(1), p).gain for p in (1, 2)}
+    return next(p for p, gain in gains.items() if np.array_equal(law.gain, gain))
+
+
+# (entry point, parameter, least count, call on the third-order bench and the value,
+# the count the call's result holds); a deletion count must also be below the bench's
+# horizon, N = 51
 COUNTS = [
-    ("OptimizerConfig", "iterations", 1, lambda b, v: OptimizerConfig(iterations=v)),
-    ("OptimizerConfig", "region_size", 1, lambda b, v: OptimizerConfig(3, region_size=v)),
-    ("run_ilc", "iterations", 0, _run),
-    ("worst_case_experiment", "iterations", 0, _worst_case),
-    ("make_trajectory", "horizon", 1, lambda b, v: make_trajectory("yd1", b.plant, v)),
-    ("accelerated_law", "power", 1, lambda b, v: accelerated_law(b.deleted(1), v)),
-    ("LiftedModel.build", "horizon", 1, lambda b, v: LiftedModel.build(b.plant, v)),
+    ("OptimizerConfig", "iterations", 1, lambda b, v: OptimizerConfig(iterations=v),
+     lambda b, r: r.iterations),
+    ("OptimizerConfig", "region_size", 1, lambda b, v: OptimizerConfig(3, region_size=v),
+     lambda b, r: r.region_size),
+    ("run_ilc", "iterations", 0, _run, lambda b, r: r.iterations),
+    ("worst_case_experiment", "iterations", 0, _worst_case, lambda b, r: r.iterations),
+    # 2.5 used to return 3 samples
+    ("make_trajectory", "horizon", 1, lambda b, v: make_trajectory("yd1", b.plant, v),
+     lambda b, r: r.shape[0]),
+    ("accelerated_law", "power", 1, lambda b, v: accelerated_law(b.deleted(1), v), _power),
+    ("LiftedModel.build", "horizon", 1, lambda b, v: LiftedModel.build(b.plant, v),
+     lambda b, r: r.horizon),
     # 2.5 and True used to end in numpy's TypeError from np.empty(count)
-    ("markov_parameters", "count", 1, lambda b, v: markov_parameters(b.plant, v)),
+    ("markov_parameters", "count", 1, lambda b, v: markov_parameters(b.plant, v),
+     lambda b, r: r.size),
     # q = 51 used to read "deletion count q = 51 must satisfy 0 <= q < N = 51"
-    ("delete_initial_steps", "q", 0, lambda b, v: delete_initial_steps(b.model, b.inverse, v)),
+    ("delete_initial_steps", "q", 0, lambda b, v: delete_initial_steps(b.model, b.inverse, v),
+     lambda b, r: r.q),
 ]
 BELOW = {"delete_initial_steps": 51}
 
@@ -82,7 +103,7 @@ REALS = [
 
 
 def _cases():
-    for entry, name, least, call in COUNTS:
+    for entry, name, least, call, _ in COUNTS:
         for value in (2.5, True, np.nan, np.inf, float(least)):  # even a whole float
             yield entry, call, value, f"{name} must be an integer, got {value!r}"
         yield entry, call, least - 1, f"{name} must be at least {least}"
@@ -111,10 +132,29 @@ def test_entry_point_names_the_rule_a_value_breaks(third, call, value, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("entry, name, least, call", COUNTS, ids=[c[0] for c in COUNTS])
-def test_counts_accept_a_numpy_integer_at_the_bound(third, entry, name, least, call):
+@pytest.mark.parametrize("entry, name, least, call, kept", COUNTS, ids=[c[0] for c in COUNTS])
+def test_counts_accept_a_numpy_integer_at_the_bound(third, entry, name, least, call, kept):
     for value in (np.int64(least), np.int32(least + 1)):  # and one above it
-        call(third, value)
+        assert kept(third, call(third, value)) == value
+
+
+def test_a_real_may_be_the_largest_finite_float():
+    for value in (sys.float_info.max, -sys.float_info.max):
+        check_real(value, "x")
+
+
+def test_each_rule_is_written_only_in_errors():
+    # the API and the CLI both call errors.check_integer and errors.check_real
+    rule = re.compile(r"must be (at least|below|an integer|a finite number|positive)")
+    home = Path(errors.__file__)
+    elsewhere = [
+        f"{layer.name}:{number}: {line.strip()}"
+        for layer in sorted(home.parent.glob("*.py")) if layer != home
+        for number, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), 1)
+        if rule.search(line)
+    ]
+    assert elsewhere == []
+    assert rule.search(home.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(

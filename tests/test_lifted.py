@@ -30,7 +30,6 @@ from circulant_ilc import (
     frequency_response,
     markov_parameters,
     realize,
-    step_observability,
     toeplitz_matrix,
     unstable_zero_count,
 )
@@ -319,20 +318,6 @@ def test_property_default_deletion_is_unstable_zero_count(plant, n):
     assert deleted.q == count
     assert np.array_equal(deleted.toeplitz, model.toeplitz[count:])
     assert np.array_equal(deleted.circulant_inverse, inverse[:, count:])
-
-
-@pytest.mark.parametrize("bad", [1.5, 1.0, True])
-def test_delete_count_must_be_an_integer(third, bad):
-    with pytest.raises(ValueError, match="q must be an integer"):
-        delete_initial_steps(third.model, third.inverse, bad)
-    assert delete_initial_steps(third.model, third.inverse, np.int64(1)).q == 1
-
-
-@pytest.mark.parametrize("bad", [51.0, 2.5, True])
-def test_build_horizon_must_be_an_integer(third, bad):
-    with pytest.raises(ValueError, match="horizon must be an integer"):
-        LiftedModel.build(third.plant, bad)
-    assert LiftedModel.build(third.plant, np.int64(4)).horizon == 4
 
 
 def test_unstable_zero_leaves_tiny_singular_value(third):

