@@ -5,8 +5,8 @@ below the horizon); a real number must be finite and, where it has a bound, abov
 it. Each entry point raises ValueError with the parameter's name first, then the
 rule, in the words the CLI prints after a field, and shows a rejected value the
 one way `errors.shown` does: its repr up to 20 characters, else cut. A count it
-accepts, a numpy integer too, it keeps as given. Each rule's text is written only in
-errors.py.
+accepts, a numpy integer too, it keeps as given; a finite real above its bound, a
+numpy float too, it accepts. Each rule's text is written only in errors.py.
 """
 
 import re
@@ -104,13 +104,14 @@ REALS = [
 
 def _cases():
     for entry, name, least, call, _ in COUNTS:
-        for value in (2.5, True, np.nan, np.inf, float(least)):  # even a whole float
+        # even a whole float; numpy's bool and a 0-d array are no Integral either
+        for value in (2.5, True, np.True_, np.nan, np.inf, float(least), "3", np.array(3)):
             yield entry, call, value, f"{name} must be an integer, got {value!r}"
         yield entry, call, least - 1, f"{name} must be at least {least}"
         if entry in BELOW:
             yield entry, call, BELOW[entry], f"{name} must be below {BELOW[entry]}"
     for entry, name, above, call in REALS:  # 2.5 is a valid real
-        for value in (True, np.nan, np.inf, -np.inf, "3", None, 10**400):
+        for value in (True, np.True_, np.nan, np.inf, -np.inf, "3", None, 10**400):
             yield entry, call, value, f"{name} must be a finite number, got {shown(value)}"
         if above is not None:  # the bound itself is the largest value outside
             for value in (float(above), -1.0):
@@ -136,6 +137,13 @@ def test_entry_point_names_the_rule_a_value_breaks(third, call, value, message):
 def test_counts_accept_a_numpy_integer_at_the_bound(third, entry, name, least, call, kept):
     for value in (np.int64(least), np.int32(least + 1)):  # and one above it
         assert kept(third, call(third, value)) == value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry, name, above, call", REALS, ids=[r[0] for r in REALS])
+def test_reals_accept_a_finite_number_above_the_bound(third, entry, name, above, call):
+    for value in (0.01, np.float64(0.02)):  # a period this short does not alias
+        call(third, value)
 
 
 def test_a_real_may_be_the_largest_finite_float():
