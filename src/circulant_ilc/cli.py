@@ -137,8 +137,12 @@ def _resolve_plant(source) -> Preset:
     if isinstance(source, str) and source in PRESETS:
         return PRESETS[source]
     if isinstance(source, str):
-        if not Path(source).exists():
-            raise ConfigError("plant", f"{source!r} is not a preset or an existing file")
+        try:
+            exists = Path(source).exists()
+        except OSError:  # a name the file system cannot hold, such as one too long
+            exists = False
+        if not exists:
+            raise ConfigError("plant", f"{shown(source)} is not a preset or an existing file")
         source = _read_json("plant", source)
     return _parse_plant_dict(source)
 

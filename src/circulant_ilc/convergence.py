@@ -50,6 +50,17 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
     error the nonsymmetric QR algorithm already commits (Golub & Van Loan,
     Matrix Computations, 7.5.6 and 8.1), the sorted |eigvalsh(S)| is
     returned as both spectra, and the spectral radius equals sigma_max.
+    A nonsymmetric map of n > 16 rows that is a multiple of I plus low rank
+    up to rounding, as I - P L is for the inverse-circulant laws at long
+    horizons (the inverse leaves only a transient: see gain_sweep), takes a
+    16 x 16 SVD and eigensolve instead. With c the median of E's diagonal,
+    _low_rank_core gives E - c I = Z M Z^T + R, Z of 2 _CORE_WIDTH = 16
+    orthonormal columns, and a bound delta >= ||R||_2 that includes the
+    rounding of forming E - c I and R. F = c I + Z M Z^T is c I + M on Z and
+    c I on Z's complement, so both spectra of F are those of c I + M with |c|
+    repeated n - 16 times. Where delta <= n eps ||E||_F, the backward error
+    above, they are returned: exact for a matrix within delta of E. (The
+    shift brings in the scaled law, whose E is (1 - gain) I plus low rank.)
     Other maps, and any whose Frobenius norm overflows, take the dense SVD
     and eigenvalues. A map with a NaN or infinite entry has no spectrum:
     NumericalDegeneracyError.
@@ -59,14 +70,18 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
         raise ValueError("error propagation matrix must be square")
     if not np.isfinite(matrix).all():
         raise NumericalDegeneracyError("error propagation matrix has a non-finite entry")
+    n = matrix.shape[0]
+    bound = n * _EPS * np.linalg.norm(matrix)  # the backward error of the dense solvers
     half = np.subtract(matrix, matrix.T)
     half *= 0.5  # the skew part K
     # chained: also False for a norm that overflows
-    if np.linalg.norm(half) <= matrix.shape[0] * _EPS * np.linalg.norm(matrix) < np.inf:
+    if np.linalg.norm(half) <= bound < np.inf:
         np.add(matrix, matrix.T, out=half)
         half *= 0.5  # the symmetric part S, in K's buffer
         eigen = _sorted_magnitudes(np.linalg.eigvalsh(half))
         singular = eigen.copy()
+    elif (low := _shifted_core_spectra(matrix, half, bound)) is not None:
+        singular, eigen = low
     else:
         singular = np.linalg.svd(matrix, compute_uv=False)
         eigen = _sorted_magnitudes(np.linalg.eigvals(matrix))
@@ -108,8 +123,9 @@ _KRYLOV_STEPS = 8
 # A^T A is taken from the Gram pair where (1 + |phi| ||B||_2)^2 is at most
 # this multiple of theta (see gain_sweep).
 _PAIR_GROWTH = 4.0
-# The low-rank core of I - B (_low_rank_core): _CORE_STEPS passes of block
-# subspace iteration from a fixed block of _CORE_WIDTH columns.
+# The low-rank core of I - B, or of E - c I in analyze (_low_rank_core):
+# _CORE_STEPS passes of block subspace iteration from a fixed block of
+# _CORE_WIDTH columns.
 _CORE_WIDTH = 8
 _CORE_STEPS = 2
 _EPS = np.finfo(float).eps
@@ -230,8 +246,8 @@ def _low_rank_core(E, work):
     - Z's departure from orthonormality, eta = ||Z^T Z - I||_F: Z is within
       eta of an orthonormal Q (its polar factor), and
       ||Z M Z^T - Q M Q^T||_2 <= eta (2 + eta) ||M||_F;
-    - the rounding of the diagonal of E = I - B where it was formed, at most
-      u max |E_ii|.
+    - the rounding of the diagonal of E = I - B (or of E = A - c I in
+      analyze) where it was formed, at most u max |E_ii|.
     eta is itself computed, so these terms hold to first order in eps, as
     the Cholesky certificate's do (_certified).
     """
@@ -250,6 +266,26 @@ def _low_rank_core(E, work):
     size = float(np.linalg.norm(M))
     delta = (1 + _EPS) * (np.linalg.norm(work) + u * np.abs(E.diagonal()).max())
     return M, size, float(delta + rounding * size)
+
+
+def _shifted_core_spectra(matrix, work, bound):
+    """Both spectra of c I + Z M Z^T, sorted as analyze returns them, with c
+    the median of the diagonal and Z M Z^T the low-rank core of `matrix` - c I;
+    None unless n > 2 _CORE_WIDTH and the core's residual bound is at most
+    `bound` < inf (see analyze). `work` is overwritten with `matrix` - c I."""
+    n = matrix.shape[0]
+    if not (2 * _CORE_WIDTH < n and bound < np.inf):
+        return None
+    shift = float(np.median(matrix.diagonal()))
+    np.copyto(work, matrix)
+    np.fill_diagonal(work, matrix.diagonal() - shift)
+    M, _, delta = _low_rank_core(work, np.empty_like(work))
+    if not delta <= bound:
+        return None
+    M[np.diag_indices(M.shape[0])] += shift  # c I + M
+    rest = np.full(n - M.shape[0], abs(shift))  # c on Z's complement
+    singular = np.concatenate((np.linalg.svd(M, compute_uv=False), rest))
+    return -np.sort(-singular), _sorted_magnitudes(np.concatenate((np.linalg.eigvals(M), rest)))
 
 
 def _core_sigma(core, phi):

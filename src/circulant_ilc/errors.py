@@ -30,11 +30,21 @@ def check_integer(value, name, least=None, below=None):
 
 def check_real(value, name, above=None):
     """Raise ValueError naming `name` unless `value` is a finite real number (not
-    a bool; an int of any size compares exactly) above `above`, if given."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and abs(value) <= sys.float_info.max):
+    a bool; an int of any size compares exactly, a numpy float of any width as a
+    float) above `above`, if given."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and _in_float_range(value)):
         raise ValueError(f"{name} must be a finite number, got {shown(value)}")
     if above is not None and not value > above:
         raise ValueError(f"{name} must be positive" if above == 0 else f"{name} must be above {above}")
+
+
+def _in_float_range(value):
+    """|value| <= the largest float, an int compared exactly and any other real as a
+    Python float: numpy would cast the bound down to a float32's own type, where it is inf."""
+    try:
+        return abs(value if isinstance(value, Integral) else float(value)) <= sys.float_info.max
+    except OverflowError:  # a Fraction too large for a float
+        return False
 
 
 class ConfigError(ValueError):

@@ -881,11 +881,14 @@ def test_cli_fuzz_exits_cleanly(command, config, plant_file):
          f"phi: must be a finite number, got '1{'0' * 19}'... (4000 characters)"),
         ("analyze", {}, {"first_order": [10**3999]}, 2,
          f"plant: {SECTION} got '1{'0' * 19}'... (4000 characters)"),
+        # a name longer than the file system allows: Path.exists raised OSError
+        ("analyze", {"plant": "x" * 5000}, None, 2,
+         "plant: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) is not a preset or an existing file"),
     ],
     ids=["nan_pole", "inf_pole", "huge_omega", "huge_zeta", "dict_law", "out_not_dir",
          "phi_1e308", "gain_1e300_cubed", "null_n", "int_hz_beyond_float",
          "hz_with_infinite_period", "config_not_object", "compare_worst_case",
-         "long_string_n", "long_list_n", "long_int_phi", "long_int_pole"],
+         "long_string_n", "long_list_n", "long_int_phi", "long_int_pole", "long_plant_name"],
 )
 def test_reproduced_tracebacks_exit_with_one_line(command, config, plant_file, code, message):
     # each of these used to end in a traceback (exit 1) or to print a long value whole

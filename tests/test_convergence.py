@@ -199,17 +199,33 @@ def test_property_symmetric_maps_match_dense(plant, n, kind, parameter, data):
 def test_analyze_routes_by_symmetry(monkeypatch, third):
     dm = third.deleted(1)
     rng = np.random.default_rng(12)
+
+    def corner(n):
+        E = 10 * np.eye(n)
+        E[:4, :4] += np.outer(rng.standard_normal(4), rng.standard_normal(4))
+        return E
+
     nonsymmetric = [
+        # at N = 51 the transient tail is 3.4e-3 of the map: no low-rank core
         error_propagation(dm.toeplitz, inverse_circulant_law(dm)),
         error_propagation(dm.toeplitz, accelerated_law(dm, 3)),
         error_propagation(dm.toeplitz, scaled_inverse_circulant_law(dm, 0.5)),
+        # the closest preset case: its core residual is 1.6-1.8 times the bound
+        np.linalg.matrix_power(error_propagation(third.deleted(0).toeplitz,
+                                                 inverse_circulant_law(third.deleted(0))), 6),
         rng.standard_normal((9, 9)),
+        # 10 I plus rank one in the leading 4 x 4 block, a core's exact case,
+        # with no complement at n = 16
+        corner(16),
+        # and at n = 40 with finite entries whose Frobenius norm overflows
+        1e160 * corner(40),
     ]
     symmetric = [symmetric_law_map(dm.toeplitz, kind) for kind in SYMMETRIC_LAWS]
     references = [dense_spectra(E) for E in nonsymmetric]
     calls = count_calls(monkeypatch, np.linalg, ("svd", "eigvals", "eigvalsh"))
     for E, (singular, eigen) in zip(nonsymmetric, references):
-        report = analyze(E)
+        with np.errstate(over="ignore"):
+            report = analyze(E)
         # the dense path, bit for bit
         assert np.array_equal(report.singular_values, singular)
         assert np.array_equal(report.eigenvalue_magnitudes, eigen)
@@ -220,6 +236,86 @@ def test_analyze_routes_by_symmetry(monkeypatch, third):
     for E in symmetric:
         analyze(E)
     assert calls == {"svd": [], "eigvals": [], "eigvalsh": [E.shape for E in symmetric]}
+
+
+# --- the low-rank core of analyze against dense svd / eigvals ----------------
+
+CORE = (2 * convergence._CORE_WIDTH,) * 2  # the shape of c I + M
+# The laws whose I - P L is a multiple of I plus the inverse's transient, as
+# (deleted model, overall gain or power) -> law
+INVERSE_LAWS = {
+    "inverse_circulant": lambda dm, _: inverse_circulant_law(dm),
+    "scaled_inverse_circulant": scaled_inverse_circulant_law,
+    "accelerated": accelerated_law,
+}
+
+
+def assert_spectra_match_dense(E, report):
+    """Singular values within 2 n eps sigma_1 of a dense SVD, and rho within the
+    first-order bound kappa_i n eps ||E||_F of every eigenvalue that can set it."""
+    n = E.shape[0]
+    singular, eigen = dense_spectra(E)
+    assert_allclose(report.singular_values, singular, rtol=0, atol=2 * n * EPS * singular[0])
+    mu, cond = convergence._eigen_condition(E)
+    bound = cond * n * EPS * np.linalg.norm(E)
+    setting = np.abs(mu) + bound >= eigen[0] - bound.max()
+    assert abs(report.spectral_radius - eigen[0]) <= bound[setting].max()
+
+
+@pytest.mark.parametrize("name", ["third_order", "fifth_order"])
+def test_analyze_takes_the_core_at_a_long_horizon(monkeypatch, name):
+    # At N = 256 the transient tail is far below rounding: the inverse,
+    # accelerated and scaled maps take both spectra from a 16 x 16 core, with
+    # no N x N svd or eigvals
+    deleted = preset_deleted(name, 256)
+    laws = (inverse_circulant_law(deleted), accelerated_law(deleted, 3),
+            scaled_inverse_circulant_law(deleted, 0.5))
+    maps = [error_propagation(deleted.toeplitz, law) for law in laws]
+    calls = count_calls(monkeypatch, np.linalg, ("svd", "eigvals", "eigvalsh"))
+    reports = [analyze(E) for E in maps]
+    assert calls == {"svd": [CORE] * 3, "eigvals": [CORE] * 3, "eigvalsh": []}
+    monkeypatch.undo()
+    for E, report in zip(maps, reports):
+        assert_spectra_match_dense(E, report)
+
+
+def test_analyze_core_counts_the_shifted_complement(monkeypatch):
+    # E = diag(I_16 / 2, -I_84) at n = 100, made nonsymmetric in the first
+    # block: the diagonal's median c = -1 leaves E - c I of rank 16, which Z
+    # spans exactly. |c| = 1 is then both spectra's top value, 84 times, and
+    # without the shift no core of 16 columns would certify.
+    E = np.diag(np.r_[np.full(16, 0.5), np.full(84, -1.0)])
+    E[0, 1] = 1e-3
+    calls = count_calls(monkeypatch, np.linalg, ("svd", "eigvals"))
+    report = analyze(E)
+    assert calls == {"svd": [CORE], "eigvals": [CORE]}
+    assert np.array_equal(report.singular_values[:84], np.ones(84))
+    assert np.array_equal(report.eigenvalue_magnitudes[:84], np.ones(84))
+    monkeypatch.undo()
+    assert_spectra_match_dense(E, report)
+
+
+@PROPERTY
+@given(
+    # poles decaying at 20 rad/s or faster (by a third or more per 0.02 s step)
+    # leave a transient below rounding within about 100 steps: the core's case
+    st.one_of(sampled_plants(), sampled_plants(decay=20.0)),
+    st.integers(17, 200),
+    st.sampled_from(sorted(INVERSE_LAWS)),
+    st.data(),
+)
+def test_property_inverse_law_maps_match_dense(plant, n, kind, data):
+    # each map has more than 16 rows, so analyze tries the core first
+    model = LiftedModel.build(plant, n)
+    try:
+        inverse = circulant_inverse(model)
+    except IllConditionedCirculantError:
+        return
+    deleted = delete_initial_steps(model, inverse, data.draw(st.integers(0, n - 17), label="q"))
+    parameter = data.draw(st.floats(0.1, 2.0) if kind == "scaled_inverse_circulant"
+                          else st.integers(1, 6), label="gain or power")
+    E = error_propagation(deleted.toeplitz, INVERSE_LAWS[kind](deleted, parameter))
+    assert_spectra_match_dense(E, analyze(E))
 
 
 def test_gain_sweep_identity_at_zero(third):

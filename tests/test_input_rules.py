@@ -111,7 +111,9 @@ def _cases():
         if entry in BELOW:
             yield entry, call, BELOW[entry], f"{name} must be below {BELOW[entry]}"
     for entry, name, above, call in REALS:  # 2.5 is a valid real
-        for value in (True, np.True_, np.nan, np.inf, -np.inf, "3", None, 10**400):
+        # np.float32(np.inf) used to pass, numpy casting the float bound to float32's inf
+        for value in (True, np.True_, np.nan, np.inf, -np.inf, np.float32(np.inf), "3", None,
+                      10**400):
             yield entry, call, value, f"{name} must be a finite number, got {shown(value)}"
         if above is not None:  # the bound itself is the largest value outside
             for value in (float(above), -1.0):
