@@ -127,7 +127,9 @@ def _read_json(field, source):
     """The JSON value in file `source`; an unreadable or invalid file is a ConfigError."""
     try:
         return json.loads(Path(source).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+    except OSError as exc:  # its text repeats the path, so only strerror is kept
+        raise ConfigError(field, f"cannot read JSON from {shown(source)}: {exc.strerror}") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise ConfigError(field, f"cannot read JSON from {source!r}: {exc}") from None
 
 

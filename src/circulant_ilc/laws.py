@@ -117,15 +117,16 @@ def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw
     return LearningLaw(_owned(np.linalg.solve(system, p_matrix.T)))
 
 
-def error_propagation(p_matrix: np.ndarray, law) -> np.ndarray:
-    """I - P L, the map from one run's error history to the next."""
+def error_propagation(p_matrix: np.ndarray, law, out=None) -> np.ndarray:
+    """I - P L, the map from one run's error history to the next; written into
+    `out`, a square float64 array, where one is given."""
     gain = law.gain if isinstance(law, LearningLaw) else np.asarray(law)
     rows, cols = p_matrix.shape
     if gain.shape != (cols, rows):
         raise ValueError(
             f"gain shape {gain.shape} incompatible with plant matrix {p_matrix.shape}"
         )
-    return _identity_minus(p_matrix @ gain)
+    return _identity_minus(p_matrix @ gain if out is None else np.matmul(p_matrix, gain, out=out))
 
 
 def _identity_minus(x: np.ndarray) -> np.ndarray:

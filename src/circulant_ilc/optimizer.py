@@ -14,6 +14,7 @@ from .lifted import DeletedModel
 
 _GAP_RTOL = 1e-9          # singular value gap below this (relative to sigma_1) is degenerate
 _FLAG_FACTOR = 10.0       # column flagged when its peak sensitivity exceeds median by this
+_RHO_BLOCK_ENTRIES = 2**15  # entries of the maps whose rho one eigvals call takes: 13 at n = 50
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,17 @@ def _check_gap(s: np.ndarray):
     gap, scale = float(s[0] - lower), float(s[0])
     if gap <= _GAP_RTOL * scale:
         raise DegenerateSingularValueError(gap, scale)
+
+
+def _spectral_radii(maps: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each map in a (k, n, n) stack from one eigvals call.
+
+    The stacked call runs the same LAPACK dgeev on each map as a call on that
+    map alone, paying numpy's per-call setup once, so every bit is the same:
+    a map with real eigenvalues gets them as x + 0j when another map's are
+    complex, and |x + 0j| is |x|.
+    """
+    return np.max(np.abs(np.linalg.eigvals(maps)), axis=-1)
 
 
 def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -141,21 +153,28 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
     floor on sigma_1: when the dominant singular vectors peak outside it the
     descent stalls above one, and it can settle into a period-two zigzag
     (the fifth-order corner blocks alternate near sigma_1 = 6.92).
+
+    rho never feeds back into the descent: each map I - P L is written into the
+    next slot of a block of at most 2**15 entries (of one map if a map is
+    larger), and one eigvals call takes the rho of every map in it once the
+    block is full or the descent ends.
     """
     P = deleted.toeplitz
     L = deleted.circulant_inverse.copy()
     rows, cols = _corner_positions(L.shape, config.region_size)
 
+    n = P.shape[0]
+    block = np.empty((max(1, min(_RHO_BLOCK_ENTRIES // n**2, config.iterations + 1)), n, n))
     sigma = np.empty(config.iterations + 1)
     rho = np.empty(config.iterations + 1)
     diagnostic = None
-    done = 0
     for it in range(config.iterations + 1):
-        E = error_propagation(P, L)
+        slot = it % len(block)
+        E = error_propagation(P, L, out=block[slot])
         U, s, Vt = np.linalg.svd(E)
         sigma[it] = s[0]
-        rho[it] = np.max(np.abs(np.linalg.eigvals(E)))
-        done = it + 1
+        if slot == len(block) - 1:
+            rho[it - slot : it + 1] = _spectral_radii(block)
         if it == config.iterations:
             break
         try:
@@ -168,5 +187,8 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
             rows, cols = _top_positions(grad, rows.size)
         L[rows, cols] += descent_step(s[0], grad[rows, cols], config.weight)
 
+    done = it + 1
+    if pending := done % len(block):  # the maps since the last full block
+        rho[done - pending : done] = _spectral_radii(block[:pending])
     law = LearningLaw(L)
     return OptimizationTrace(sigma=sigma[:done], rho=rho[:done], law=law, diagnostic=diagnostic)

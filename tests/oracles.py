@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from circulant_ilc import optimizer
+from circulant_ilc.errors import DegenerateSingularValueError
+from circulant_ilc.laws import error_propagation
+
 
 def dft_matrix(n: int) -> np.ndarray:
     """Forward DFT matrix with entries z0^(-j*k) for z0 = exp(2 pi i / n)."""
@@ -60,3 +64,30 @@ def accelerated_gain_by_doubling(deleted, power):
         if i + 1 < len(bits):
             E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
     return C @ total
+
+
+def serial_descent(deleted, config):
+    """optimize's loop with one error_propagation, svd and eigvals per iteration:
+    (sigma, rho, gain, diagnostic). It looks _check_gap up on the optimizer module
+    at each call, so a test's patch of it acts here too."""
+    P = deleted.toeplitz
+    L = deleted.circulant_inverse.copy()
+    rows, cols = optimizer._corner_positions(L.shape, config.region_size)
+    sigma, rho, diagnostic = [], [], None
+    for it in range(config.iterations + 1):
+        E = error_propagation(P, L)
+        U, s, Vt = np.linalg.svd(E)
+        sigma.append(s[0])
+        rho.append(np.max(np.abs(np.linalg.eigvals(E))))
+        if it == config.iterations:
+            break
+        try:
+            optimizer._check_gap(s)
+        except DegenerateSingularValueError as exc:
+            diagnostic = exc
+            break
+        grad = -np.outer(P.T @ U[:, 0], Vt[0])
+        if config.reselect_region:
+            rows, cols = optimizer._top_positions(grad, rows.size)
+        L[rows, cols] += optimizer.descent_step(s[0], grad[rows, cols], config.weight)
+    return np.array(sigma), np.array(rho), L, diagnostic

@@ -804,12 +804,16 @@ def _fuzz_run(command, config, plant_file):
         if plant_file is not None and isinstance(config, dict):
             (tmp / "plant.json").write_text(json.dumps(plant_file))
             config["plant"] = str(tmp / "plant.json")
-        (tmp / "config.json").write_text(json.dumps(config))
+        if isinstance(config, str):  # a --config path, passed as it is
+            config_file = config
+        else:
+            config_file = tmp / "config.json"
+            config_file.write_text(json.dumps(config))
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main([command, "--config", str(tmp / "config.json")])
+                code = main([command, "--config", str(config_file)])
         err = err.getvalue()
         assert code in (0, 2, 3)
         # a warning adds stderr lines; only a pole at or above Nyquist is warned about
@@ -834,6 +838,7 @@ NAN_POLE = {"first_order": [math.nan]}
 INF_POLE = {"first_order": [math.inf]}
 HUGE_OMEGA = {"second_order": [{"omega": 1e200, "zeta": 0.5}]}
 HUGE_ZETA = {"second_order": [{"omega": 37, "zeta": 1e308}]}
+LONG_DIR = "/" + "./" * 150  # the root directory, named in 301 characters
 
 
 @PROPERTY
@@ -884,11 +889,17 @@ def test_cli_fuzz_exits_cleanly(command, config, plant_file):
         # a name longer than the file system allows: Path.exists raised OSError
         ("analyze", {"plant": "x" * 5000}, None, 2,
          "plant: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) is not a preset or an existing file"),
+        # a path that exists but cannot be read: the OSError text repeated it whole
+        ("analyze", {"plant": LONG_DIR}, None, 2,
+         "plant: cannot read JSON from '/./././././././././.'... (301 characters): Is a directory"),
+        ("analyze", LONG_DIR, None, 2,
+         "config: cannot read JSON from '/./././././././././.'... (301 characters): Is a directory"),
     ],
     ids=["nan_pole", "inf_pole", "huge_omega", "huge_zeta", "dict_law", "out_not_dir",
          "phi_1e308", "gain_1e300_cubed", "null_n", "int_hz_beyond_float",
          "hz_with_infinite_period", "config_not_object", "compare_worst_case",
-         "long_string_n", "long_list_n", "long_int_phi", "long_int_pole", "long_plant_name"],
+         "long_string_n", "long_list_n", "long_int_phi", "long_int_pole", "long_plant_name",
+         "long_plant_dir", "long_config_dir"],
 )
 def test_reproduced_tracebacks_exit_with_one_line(command, config, plant_file, code, message):
     # each of these used to end in a traceback (exit 1) or to print a long value whole

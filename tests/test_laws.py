@@ -97,6 +97,8 @@ def test_error_propagation_is_eye_minus_product_bit_for_bit():
     assert error_propagation(P, L).tobytes() == expected.tobytes()
     law = LearningLaw(L)
     assert error_propagation(P, law).tobytes() == expected.tobytes()
+    out = np.full((7, 7), np.nan)
+    assert error_propagation(P, L, out=out) is out and out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("weight", [1e-3, 0.1, 1.0, 7.5])

@@ -1,8 +1,11 @@
 """Sensitivity derivatives and steepest-descent tests.
 
 The derivative oracle is a central finite difference of sigma_k through a
-full SVD; the step oracle is the dense regularized solve.
+full SVD; the step oracle is the dense regularized solve; the descent's oracle
+is its loop with one eigvals call per iteration.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from circulant_ilc import (
     sensitivity_map,
     sensitivity_matrix,
 )
+from circulant_ilc import optimizer
 from circulant_ilc.optimizer import _corner_positions
+from oracles import serial_descent
 from strategies import PROPERTY, horizons, sampled_plants
 
 
@@ -240,3 +245,89 @@ def test_optimize_benchmark_endpoint_neighborhoods(optimized):
     assert 1.0 <= t0.sigma[-1] <= 1.6
     assert optimized[("fourth_order", 2)].rho[-1] < 0.01
     assert optimized[("fifth_order", 2)].rho[-1] <= 0.5
+
+
+def block_size(deleted):
+    """Maps per eigvals call in optimize's descent of this model."""
+    return max(1, optimizer._RHO_BLOCK_ENTRIES // deleted.toeplitz.shape[0] ** 2)
+
+
+def assert_matches_serial(deleted, config):
+    sigma, rho, gain, diagnostic = serial_descent(deleted, config)
+    trace = optimize(deleted, config)
+    assert trace.sigma.tobytes() == sigma.tobytes()
+    assert trace.rho.tobytes() == rho.tobytes()
+    assert trace.gain.tobytes() == gain.tobytes()
+    assert (trace.diagnostic is None) == (diagnostic is None)
+    if diagnostic is not None:
+        assert (trace.diagnostic.gap, trace.diagnostic.scale) == (diagnostic.gap, diagnostic.scale)
+    return trace
+
+
+@pytest.mark.parametrize("reselect", [False, True], ids=["fixed", "reselected"])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["k-1", "k", "k+1", "2k+3"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_optimize_matches_the_serial_loop_around_a_block(third, q, blocks, extra, reselect):
+    # rho comes from one eigvals call per block of k maps, a last partial block included
+    dm = third.deleted(q)
+    k = block_size(dm)
+    assert k == (12, 13)[q]  # 2**15 entries of 51 x 51 and 50 x 50 maps
+    iterations = blocks * k + extra
+    trace = assert_matches_serial(dm, OptimizerConfig(iterations=iterations, reselect_region=reselect))
+    assert trace.rho.shape == (iterations + 1,) and trace.diagnostic is None
+
+
+@PROPERTY
+@given(sampled_plants(), st.integers(20, 64), st.data())
+def test_property_optimize_matches_the_serial_loop(plant, n, data):
+    # blocks of 128 down to 8 maps of n - q rows; half a block to three blocks
+    model = LiftedModel.build(plant, n)
+    try:
+        inverse = circulant_inverse(model)
+    except IllConditionedCirculantError:
+        return
+    dm = delete_initial_steps(model, inverse, data.draw(st.integers(0, 4), label="q"))
+    k = block_size(dm)
+    config = OptimizerConfig(
+        iterations=data.draw(st.integers(max(1, k // 2), 3 * k), label="iterations"),
+        reselect_region=data.draw(st.booleans(), label="reselect_region"),
+    )
+    with np.errstate(all="ignore"):  # a drawn plant may overflow; the loops must agree even so
+        assert_matches_serial(dm, config)
+
+
+@pytest.mark.parametrize("stop", [5, 12, 20])
+def test_optimize_fills_rho_up_to_a_stop_inside_a_block(third, monkeypatch, stop):
+    # a degenerate sigma_1 found at iteration `stop` ends the trace mid-block
+    dm = third.deleted(1)
+    assert stop % block_size(dm)
+    calls = []
+
+    def check_gap(s):
+        calls.append(s[0])
+        if len(calls) == stop + 1:
+            raise DegenerateSingularValueError(0.0, float(s[0]))
+
+    monkeypatch.setattr(optimizer, "_check_gap", check_gap)
+    trace = optimize(dm, OptimizerConfig(iterations=40))
+    assert trace.sigma.shape == trace.rho.shape == (stop + 1,)
+    assert isinstance(trace.diagnostic, DegenerateSingularValueError)
+    calls.clear()
+    assert trace.rho.tobytes() == serial_descent(dm, OptimizerConfig(iterations=40))[1].tobytes()
+
+
+def test_optimize_holds_at_most_2_15_entries_of_maps():
+    # at n = 256 a block is one map: a longer descent keeps no more maps alive
+    n = 256
+    dm = DeletedModel(q=0, toeplitz=np.eye(n), circulant_inverse=np.diag(np.linspace(0.1, 0.9, n)))
+    optimize(dm, OptimizerConfig(iterations=1))  # first-call allocations stay out of the peaks
+    peaks = []
+    for iterations in (1, 40):
+        tracemalloc.start()
+        try:
+            assert optimize(dm, OptimizerConfig(iterations=iterations)).diagnostic is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < n * n * 8, f"{(peaks[1] - peaks[0]) / (n * n * 8):.2f} maps more"
