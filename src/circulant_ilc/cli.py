@@ -4,13 +4,19 @@ Commands: analyze, optimize, simulate, compare, sweep, sensitivity. Each
 reads an optional JSON config plus flag overrides (flags win), runs the
 experiment, and writes CSV artifacts plus a metadata JSON that re-parses to
 the same configuration. Exit codes: 0 success, 2 configuration error,
-3 numerical degeneracy (any NumericalDegeneracyError).
+3 numerical degeneracy (any NumericalDegeneracyError), 4 standard output
+could not be written (every artifact is written first).
 """
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # a command's own process: its imports run no collection
+    gc.disable()
+
+import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -108,7 +114,7 @@ def _parse_plant_dict(spec):
         raise ConfigError("plant", f"expected a JSON object, got {type(spec).__name__}")
     unknown = set(spec) - {"first_order", "second_order", "sample_hz", "N"}
     if unknown:
-        raise ConfigError("plant", f"unknown plant field {sorted(unknown)[0]!r}")
+        raise ConfigError("plant", f"unknown plant field {shown(sorted(unknown)[0])}")
     first, second = spec.get("first_order", []), spec.get("second_order", [])
     # the JSON shape only: ContinuousPlant checks each number
     if not isinstance(first, (list, tuple)):
@@ -130,7 +136,7 @@ def _read_json(field, source):
     except OSError as exc:  # its text repeats the path, so only strerror is kept
         raise ConfigError(field, f"cannot read JSON from {shown(source)}: {exc.strerror}") from None
     except ValueError as exc:  # invalid JSON or UTF-8
-        raise ConfigError(field, f"cannot read JSON from {source!r}: {exc}") from None
+        raise ConfigError(field, f"cannot read JSON from {shown(source)}: {exc}") from None
 
 
 def _resolve_plant(source) -> Preset:
@@ -162,7 +168,7 @@ def _configure(args, file_config):
             raise ConfigError("config", f"expected a JSON object, got {type(file_config).__name__}")
         unknown = set(file_config) - {f for f in ExperimentConfig.__dataclass_fields__}
         if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration field")
+            raise ConfigError("config", f"unknown configuration field {shown(sorted(unknown)[0])}")
         merged.update(file_config)
     if args is not None:
         for name in ExperimentConfig.__dataclass_fields__:
@@ -246,7 +252,8 @@ def _workspace(cfg: ExperimentConfig, preset: Preset, default_q=None) -> _Worksp
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError("out", f"cannot create directory {cfg.out!r}: {exc}") from None
+        reason = getattr(exc, "strerror", exc)  # an OSError's text repeats the path
+        raise ConfigError("out", f"cannot create directory {shown(cfg.out)}: {reason}") from None
     return _Workspace(cfg, preset, model, inverse, deleted, out)
 
 
@@ -273,11 +280,11 @@ def cmd_analyze(ws: _Workspace):
             "monotonic": report.monotonic,
         },
     )
-    print(
+    line = (
         f"sigma_max = {fmt(report.sigma_max)}  spectral_radius = {fmt(report.spectral_radius)}"
         f"  monotonic = {report.monotonic}  converges = {report.converges}"
     )
-    return {"q": ws.deleted.q, "law": cfg.law}, None
+    return {"q": ws.deleted.q, "law": cfg.law}, line
 
 
 def cmd_optimize(ws: _Workspace):
@@ -292,14 +299,14 @@ def cmd_optimize(ws: _Workspace):
     write_matrix(ws.out / tag, trace.gain)
     params = {"weight": cfg.opt_weight, "iterations": cfg.opt_iterations}
     write_json(ws.out / (tag[:-4] + ".json"), {"kind": kind, "q": ws.deleted.q, "params": params})
-    if trace.diagnostic is None:
-        print(f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}")
     resolved = {"q": ws.deleted.q, "reselect_region": ws.preset.reselect_region}
-    return resolved, trace.diagnostic
+    if trace.diagnostic is not None:
+        return resolved, trace.diagnostic
+    return resolved, f"sigma_max = {fmt(trace.sigma[-1])}  spectral_radius = {fmt(trace.rho[-1])}"
 
 
 def cmd_simulate(ws: _Workspace):
-    """A diverging run writes its finite iterations and returns the error
+    """A diverging run writes its finite iterations and ends with the error
     naming the first non-finite one."""
     cfg = ws.cfg
     resolved, diverged = {"traj": cfg.traj}, None
@@ -322,9 +329,12 @@ def cmd_simulate(ws: _Workspace):
         ["iteration", "rms"],
         [(j, v) for j, v in enumerate(result.rms)],
     )
-    if diverged is None:
-        print(f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}")
-    return {**resolved, "q": law.q, "law": kind}, diverged
+    resolved = {**resolved, "q": law.q, "law": kind}
+    if diverged is not None:
+        return resolved, diverged
+    return resolved, (
+        f"rms[0] = {fmt(result.rms[0])}  rms[{result.iterations}] = {fmt(result.rms[-1])}"
+    )
 
 
 def cmd_compare(ws: _Workspace):
@@ -342,8 +352,8 @@ def cmd_compare(ws: _Workspace):
     header = ["iteration"] + [f"rms_{kind}" for kind in rms]
     rows = [[j] + [r[j] for r in rms.values()] for j in range(cfg.iterations + 1)]
     write_rows(ws.out / "compare.csv", header, rows)
-    print("  ".join(f"{kind}: rms[-1]={fmt(r[-1])}" for kind, r in rms.items()))
-    return {"q": ws.deleted.q, "laws": list(rms), "traj": cfg.traj}, None
+    line = "  ".join(f"{kind}: rms[-1]={fmt(r[-1])}" for kind, r in rms.items())
+    return {"q": ws.deleted.q, "laws": list(rms), "traj": cfg.traj}, line
 
 
 def cmd_sweep(ws: _Workspace):
@@ -357,21 +367,21 @@ def cmd_sweep(ws: _Workspace):
         ["phi", "sigma_max", "spectral_radius"],
         list(zip(sweep.gains, sweep.sigma_max, sweep.spectral_radius)),
     )
-    print(
+    line = (
         f"minimum sigma_max = {fmt(sweep.sigma_max[sweep.best_index])} "
         f"at phi = {fmt(sweep.best_gain)}"
     )
-    return {"q": ws.deleted.q}, None
+    return {"q": ws.deleted.q}, line
 
 
 def cmd_sensitivity(ws: _Workspace):
     surface = ilc.sensitivity_map(ws.deleted)
     write_matrix(ws.out / matrix_filename("sensitivity", ws.cfg.n, ws.deleted.q), surface.matrix)
-    print(f"flagged columns: {surface.flagged_columns.tolist()}")
-    return {"q": ws.deleted.q, "flagged_columns": surface.flagged_columns.tolist()}, None
+    flagged = surface.flagged_columns.tolist()
+    return {"q": ws.deleted.q, "flagged_columns": flagged}, f"flagged columns: {flagged}"
 
 
-# Each handler returns (resolved meta fields, the error that stopped it or None).
+# Each handler returns (resolved meta fields, its stdout line or the error that stopped it).
 _COMMANDS = {
     "analyze": cmd_analyze,
     "optimize": cmd_optimize,
@@ -429,32 +439,43 @@ def main(argv=None) -> int:
         ws = _workspace(cfg, preset, _DEFAULT_Q.get(args.command))
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are checked
-                resolved, stopped = _COMMANDS[args.command](ws)
+                resolved, ending = _COMMANDS[args.command](ws)
             write_json(ws.out / f"{args.command}_meta.json", {"config": asdict(cfg), "resolved": resolved})
         except OSError as exc:  # an artifact write: a directory in a file's place, a full disk
             path = cfg.out if exc.filename is None else exc.filename
-            raise ConfigError("out", f"cannot write {path!r}: {exc.strerror}") from None
-        if stopped is not None:
-            raise stopped
-        return 0
+            raise ConfigError("out", f"cannot write {shown(path)}: {exc.strerror}") from None
+        if isinstance(ending, NumericalDegeneracyError):
+            raise ending
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
+    try:  # flushed here, so a buffered stdout fails as an unbuffered one does
+        print(ending, flush=True)
+    except OSError as exc:  # a closed pipe, a full disk: every artifact is written
+        print(f"cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 4
+    return 0
 
 
-def run(argv=None) -> int:
-    """The process entry point: main with the cyclic collector off, then gc.freeze(),
-    so shutdown collections skip every object the command leaves. Output and exit
-    codes (argparse's SystemExit too) are main's; in-process callers use main."""
+def run(argv=None):
+    """The process entry point: main with the cyclic collector off, then the
+    process ends with main's exit code through os._exit once stdout and stderr
+    are flushed, so the interpreter's teardown (atexit handlers with it) never
+    runs. argparse's SystemExit and an uncaught exception leave as they would
+    from main. In-process callers use main."""
     gc.disable()
-    try:
-        return main(argv)
-    finally:
-        gc.freeze()
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):  # None: the process started with it closed
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # only a stdout whose failure main reported (exit 4) holds bytes
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    run()

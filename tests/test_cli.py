@@ -47,6 +47,7 @@ from circulant_ilc import cli as cli_module
 from circulant_ilc.cli import (
     _COMMANDS, _LAWS, _TRAJ_CHOICES, ExperimentConfig, _flag, build_config, main
 )
+from circulant_ilc.errors import shown
 from circulant_ilc.exports import fmt
 from strategies import PROPERTY
 
@@ -799,8 +800,9 @@ def _fuzz_run(command, config, plant_file):
     """main's exit code and stderr, with the run's artifacts checked."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if isinstance(config, dict):
-            config = {"out": str(tmp / "out"), **config}
+        if isinstance(config, dict):  # a relative out lands in the run's directory
+            out = config.get("out", "out")
+            config = {**config, "out": str(tmp / out) if isinstance(out, str) else out}
         if plant_file is not None and isinstance(config, dict):
             (tmp / "plant.json").write_text(json.dumps(plant_file))
             config["plant"] = str(tmp / "plant.json")
@@ -839,6 +841,7 @@ INF_POLE = {"first_order": [math.inf]}
 HUGE_OMEGA = {"second_order": [{"omega": 1e200, "zeta": 0.5}]}
 HUGE_ZETA = {"second_order": [{"omega": 37, "zeta": 1e308}]}
 LONG_DIR = "/" + "./" * 150  # the root directory, named in 301 characters
+NOT_JSON = LONG_DIR + json.__file__  # the json module's own source, by a long name
 
 
 @PROPERTY
@@ -894,12 +897,25 @@ def test_cli_fuzz_exits_cleanly(command, config, plant_file):
          "plant: cannot read JSON from '/./././././././././.'... (301 characters): Is a directory"),
         ("analyze", LONG_DIR, None, 2,
          "config: cannot read JSON from '/./././././././././.'... (301 characters): Is a directory"),
+        # each printed a long path or key whole, the directory's twice (705 bytes for 310
+        # characters); the blocked artifact is a directory in table.csv's place
+        ("analyze", NOT_JSON, None, 2,
+         f"config: cannot read JSON from '/./././././././././.'... ({len(NOT_JSON)} characters): "
+         "Expecting value"),
+        ("analyze", {"out": "/dev/null/" + "x" * 300}, None, 2,
+         "out: cannot create directory '/dev/null/xxxxxxxxxx'... (310 characters): Not a directory"),
+        ("analyze", {"out": "dir/" * 75 + "table.csv/.."}, None, 2, "characters): Is a directory"),
+        ("analyze", {}, {"x" * 5000: 1}, 2,
+         "plant: unknown plant field 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ("analyze", {"x" * 5000: 1}, None, 2,
+         "config: unknown configuration field 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
     ],
     ids=["nan_pole", "inf_pole", "huge_omega", "huge_zeta", "dict_law", "out_not_dir",
          "phi_1e308", "gain_1e300_cubed", "null_n", "int_hz_beyond_float",
          "hz_with_infinite_period", "config_not_object", "compare_worst_case",
          "long_string_n", "long_list_n", "long_int_phi", "long_int_pole", "long_plant_name",
-         "long_plant_dir", "long_config_dir"],
+         "long_plant_dir", "long_config_dir", "long_config_not_json", "long_out_not_dir",
+         "long_blocked_artifact", "long_plant_field", "long_config_key"],
 )
 def test_reproduced_tracebacks_exit_with_one_line(command, config, plant_file, code, message):
     # each of these used to end in a traceback (exit 1) or to print a long value whole
@@ -942,7 +958,7 @@ def test_a_failed_artifact_write_names_out(tmp_path, capsys, blocker):
         where, reason = tmp_path, "No space left on device"
     assert run(["analyze", "--plant", "third_order", "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert err == f"configuration error: out: cannot write {str(where)!r}: {reason}\n"
+    assert err == f"configuration error: out: cannot write {shown(str(where))}: {reason}\n"
 
 
 def test_finite_map_with_overflowing_norm_is_analyzed(tmp_path, capsys, third):
@@ -974,14 +990,18 @@ def test_unparsable_integer_flag_is_compact(tmp_path, capsys, flag):
 # --- the process entry point: `python -m circulant_ilc.cli` and the console script call run
 
 
-def _child(args, cwd, *options):
-    """A fresh interpreter running `python *options *args` on this session's circulant_ilc."""
+def _child(args, cwd, *options, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter running `python *options *args` on this session's circulant_ilc,
+    with `env` added to its environment."""
     path = [str(Path(cli_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env}
     return subprocess.run(
         [sys.executable, *options, *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env, timeout=120,
     )
+
+
+NAMES = ["analyze_meta.json", "report.json", "table.csv"]  # analyze's artifacts
 
 
 def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):
@@ -994,7 +1014,7 @@ def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch):
     assert run(args) == 0
     assert proc.stdout == capsys.readouterr().out
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert names == ["analyze_meta.json", "report.json", "table.csv"]
+    assert names == NAMES
     assert sorted(p.name for p in (tmp_path / "child" / "out").iterdir()) == names
     for name in names:
         assert (tmp_path / "child" / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
@@ -1019,38 +1039,97 @@ def test_module_entry_point_exit_codes_match_main(tmp_path, capsys, args, code, 
     assert proc.stderr.splitlines()[-1].startswith(line)
 
 
-FREEZE = textwrap.dedent(
+ENTRY = textwrap.dedent(
     """
-    import gc, sys
+    import atexit, gc, sys
     from circulant_ilc.cli import main, run
 
-    out = sys.argv[1]
-    counts = []
-    assert main(["analyze", "--out", out]) == 0
-    counts += [gc.get_freeze_count(), gc.isenabled()]
-    assert run(["analyze", "--out", out]) == 0
-    counts += [gc.get_freeze_count(), gc.isenabled()]
-    gc.unfreeze()
-    try:
-        run(["analyze", "--law", "nope", "--out", out])
-    except SystemExit as exc:
-        counts.append(exc.code)
-    counts.append(gc.get_freeze_count())
-    print(*counts)
+    out, *args = sys.argv[1:]
+    assert main(["analyze", "--out", out]) == 0 and gc.isenabled()
+    atexit.register(print, "atexit handler")
+    run(args)
+    print("after run")
     """
 )
 
 
-def test_run_freezes_the_gc_and_main_does_not(tmp_path):
-    # run also leaves the collector off; main leaves it on
-    proc = _child(["-c", FREEZE, tmp_path], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    after_main, on_after_main, after_run, on_after_run, argparse_code, after_argparse_exit = (
-        proc.stdout.splitlines()[-1].split()
+@pytest.mark.parametrize("args, code", [([], 0), (["--n", 0], 2), (["--hz", 1e300], 3)])
+def test_run_ends_the_process_with_mains_code_and_output(tmp_path, capsys, args, code):
+    # main leaves the collector on; after run neither a print nor an atexit handler runs
+    args = ["analyze", *args, "--out", tmp_path / "run"]
+    proc = _child(["-c", ENTRY, tmp_path / "main", *args], tmp_path)
+    assert run(["analyze", "--out", tmp_path / "main"]) == 0
+    main_out = capsys.readouterr().out
+    assert run(args) == code
+    expected = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, main_out + expected.out, expected.err
     )
-    assert (after_main, on_after_main) == ("0", "True")
-    assert int(after_run) > 0 and on_after_run == "False"
-    assert argparse_code == "2" and int(after_argparse_exit) > 0
+
+
+NO_COLLECTION = textwrap.dedent(
+    """
+    import gc, importlib.util, os, runpy, sys
+
+    run_name = sys.argv.pop(1)
+    cli = importlib.util.find_spec("circulant_ilc.cli").origin
+
+    def record(phase, info):  # a collection that starts while cli's code runs
+        frame = sys._getframe()
+        while frame is not None and frame.f_code.co_filename != cli:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            os.write(2, b"collection\\n")
+
+    gc.callbacks.append(record)
+    runpy.run_module("circulant_ilc.cli", run_name=run_name, alter_sys=True)
+    """
+)
+
+
+@pytest.mark.parametrize("run_name, collects", [("__main__", False), ("circulant_ilc.cli", True)])
+def test_module_entry_point_runs_no_collection(tmp_path, run_name, collects):
+    # as `python -m` runs it, from its first statement on; imported, it collects as numpy loads
+    proc = _child(["-c", NO_COLLECTION, run_name, "analyze", "--out", tmp_path], tmp_path)
+    assert proc.returncode == 0
+    assert ("collection" in proc.stderr) == collects, proc.stderr
+    assert (proc.stdout != "") == (run_name == "__main__")
+
+
+CLOSE_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "stdout, code, err",
+    [
+        pytest.param("closed", 0, "", id="closed"),
+        pytest.param("broken_pipe", 4, "cannot write standard output: Broken pipe\n",
+                     id="broken_pipe"),
+        pytest.param("full", 4, "cannot write standard output: No space left on device\n",
+                     id="full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                         reason="needs /dev/full")),
+    ],
+)
+def test_a_failed_stdout_comes_after_every_artifact(tmp_path, stdout, code, err, unbuffered):
+    # a failed stdout used to be an out error (exit 2) that left the meta file unwritten
+    args = ["-m", "circulant_ilc.cli", "analyze", "--out", tmp_path / "out"]
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    if stdout == "closed":  # the interpreter starts with no fd 1
+        args = ["-c", CLOSE_STDOUT, *args]
+        proc = _child(args, tmp_path, **env)
+    elif stdout == "full":
+        with open("/dev/full", "w") as full:
+            proc = _child(args, tmp_path, stdout=full, **env)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _child(args, tmp_path, stdout=write_end, **env)
+        finally:
+            os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == NAMES
 
 
 def test_files_are_read_and_written_as_utf8(tmp_path):
