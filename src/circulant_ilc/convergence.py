@@ -12,7 +12,7 @@ from .lifted import DeletedModel
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Spectrum of an error propagation matrix.
+    """Spectra of an error propagation matrix, each by descending magnitude.
 
     converges: spectral radius below one (errors vanish asymptotically).
     monotonic: largest singular value below one (Euclidean error norm shrinks
@@ -21,13 +21,22 @@ class ConvergenceReport:
 
     singular_values: np.ndarray
     eigenvalue_magnitudes: np.ndarray
-    spectral_radius: float
-    converges: bool
-    monotonic: bool
 
     @property
     def sigma_max(self):
         return float(self.singular_values[0])
+
+    @property
+    def spectral_radius(self):
+        return float(self.eigenvalue_magnitudes[0]) if self.eigenvalue_magnitudes.size else 0.0
+
+    @property
+    def converges(self):
+        return self.spectral_radius < 1.0
+
+    @property
+    def monotonic(self):
+        return self.sigma_max < 1.0 if self.singular_values.size else True
 
 
 def _sorted_magnitudes(values):
@@ -85,14 +94,7 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
     else:
         singular = np.linalg.svd(matrix, compute_uv=False)
         eigen = _sorted_magnitudes(np.linalg.eigvals(matrix))
-    rho = float(eigen[0]) if eigen.size else 0.0
-    return ConvergenceReport(
-        singular_values=singular,
-        eigenvalue_magnitudes=eigen,
-        spectral_radius=rho,
-        converges=bool(rho < 1.0),
-        monotonic=bool(singular[0] < 1.0) if singular.size else True,
-    )
+    return ConvergenceReport(singular_values=singular, eigenvalue_magnitudes=eigen)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and its checks of a count and of a real
-number: each raises ValueError "<name> <rule>", which the CLI prints as "<name>: <rule>",
-and shows a rejected value through `shown`."""
+"""Exception types shared across the package, and its checks of a count, of a real
+number and of an array of them: each raises ValueError "<name> <rule>", which the CLI
+prints as "<name>: <rule>", and shows a rejected number through `shown`."""
 
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def shown(value):
@@ -36,6 +38,18 @@ def check_real(value, name, above=None):
         raise ValueError(f"{name} must be a finite number, got {shown(value)}")
     if above is not None and not value > above:
         raise ValueError(f"{name} must be positive" if above == 0 else f"{name} must be above {above}")
+
+
+def real_array(value, name):
+    """`value` as a float64 array; raise ValueError naming `name` unless it is an array
+    of integers or floats, each finite as a float (bools, strings, complex numbers and
+    Python objects are not)."""
+    array = np.asarray(value)
+    if array.dtype.kind in "iuf":
+        array = array.astype(float, copy=False)
+        if np.isfinite(array).all():
+            return array
+    raise ValueError(f"{name} must be an array of finite numbers")
 
 
 def _in_float_range(value):

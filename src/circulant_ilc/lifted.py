@@ -49,36 +49,31 @@ def circulant_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Finite-horizon matrices of a sampled plant over `horizon` steps."""
+    """Finite-horizon matrices of a sampled plant: the circulant wrap of its Markov
+    parameters (its first column) and the wrap's lower triangle, the Toeplitz map."""
 
     plant: DiscretePlant
-    horizon: int
-    markov: np.ndarray
     toeplitz: np.ndarray
-    observability: np.ndarray
     circulant: np.ndarray
+
+    @property
+    def horizon(self):
+        return self.circulant.shape[0]
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         check_integer(horizon, "horizon", least=1)
-        m = markov_parameters(plant, horizon)
-        circulant = _circulant(m)
-        fields = {
-            "markov": m,
-            "toeplitz": np.tril(circulant),
-            "observability": step_observability(plant, horizon),
-            "circulant": circulant,
-        }
-        for a in fields.values():
-            a.flags.writeable = False
-        return cls(plant=plant, horizon=horizon, **fields)
+        circulant = _circulant(markov_parameters(plant, horizon))
+        toeplitz = np.tril(circulant)
+        toeplitz.flags.writeable = circulant.flags.writeable = False
+        return cls(plant=plant, toeplitz=toeplitz, circulant=circulant)
 
 
 @dataclass(frozen=True)
 class DeletedModel:
     """Lifted model with the first q time steps removed from the learning objective.
 
-    toeplitz: rows q+1..N of the full Toeplitz map, shape (N-q, N).
+    toeplitz: rows q+1..N of the full Toeplitz map; its shape (N-q, N) gives q.
     circulant_inverse: columns q+1..N of the inverse circulant, shape (N, N-q).
 
     Both are read-only: views of the arrays they are cut from where those are
@@ -86,9 +81,12 @@ class DeletedModel:
     are, and copies otherwise.
     """
 
-    q: int
     toeplitz: np.ndarray
     circulant_inverse: np.ndarray
+
+    @property
+    def q(self):
+        return self.toeplitz.shape[1] - self.toeplitz.shape[0]
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,12 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
 def circulant_inverse(model: LiftedModel) -> np.ndarray:
     """Invert the circulant through its DFT eigenvalues.
 
-    The eigenvalues are the DFT of the first column; the inverse is the
-    circulant built from the inverse DFT of their reciprocals, so the result
-    is circulant by construction. The result is read-only, so deleted models
+    The eigenvalues are the DFT of the first column, the Markov sequence; the
+    inverse is the circulant built from the inverse DFT of their reciprocals, so
+    the result is circulant by construction. It is read-only, so deleted models
     and laws can share it.
     """
-    eigs = np.fft.fft(model.markov)
+    eigs = np.fft.fft(model.circulant[:, 0])
     mags = np.abs(eigs)
     # fails closed: an all-zero or non-finite sequence marks every frequency bad
     bad = np.where(~(mags > _SINGULAR_RTOL * mags.max()))[0]
@@ -168,5 +166,5 @@ def delete_initial_steps(
         q = unstable_zero_count(model.plant)
     check_integer(q, "q", least=0, below=model.horizon)
     return DeletedModel(
-        q=q, toeplitz=_readonly(model.toeplitz[q:]), circulant_inverse=_readonly(inverse[:, q:])
+        toeplitz=_readonly(model.toeplitz[q:]), circulant_inverse=_readonly(inverse[:, q:])
     )

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedRunError, check_integer
+from .errors import DivergedRunError, check_integer, real_array
 from .laws import LearningLaw, error_propagation, signed_svd
-from .lifted import LiftedModel
+from .lifted import LiftedModel, step_observability
 from .plants import DiscretePlant
 
 
@@ -77,24 +77,28 @@ def run_ilc(
 
     The output is always produced over the full horizon; the learning update
     and the RMS record see only the error at steps q+1..N, with q taken from
-    the law. A run whose error or RMS stops being finite raises
+    the law. Each array given must hold finite numbers only (a ValueError
+    names it). A run whose error or RMS stops being finite raises
     DivergedRunError, which carries the record of the iterations before it.
     """
     n = model.horizon
     q = law.q
-    desired = np.asarray(trajectory, dtype=float)
+    desired = real_array(trajectory, "trajectory")
     if desired.shape != (n,):
         raise ValueError(f"trajectory shape {desired.shape} != horizon ({n},)")
     if law.gain.shape[0] != n or q < 0:
         raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}")
     check_integer(iterations, "iterations", least=0)
-    u = np.zeros(n) if initial_input is None else np.array(initial_input, dtype=float)
-    x0 = np.zeros(model.plant.order) if initial_state is None else np.asarray(initial_state)
+    u = np.zeros(n) if initial_input is None else real_array(initial_input, "initial_input")
     if u.shape != (n,):
         raise ValueError(f"initial_input shape {u.shape} != horizon ({n},)")
-    if x0.shape != (model.plant.order,):
-        raise ValueError(f"initial_state shape {x0.shape} != plant order ({model.plant.order},)")
-    bias = model.observability @ x0
+    bias = 0.0  # the free response of x(0) = 0; adding it rounds as adding zeros does
+    if initial_state is not None:
+        x0 = real_array(initial_state, "initial_state")
+        O = step_observability(model.plant, n)
+        if x0.shape != O.shape[1:]:
+            raise ValueError(f"initial_state shape {x0.shape} != plant order {O.shape[1:]}")
+        bias = O @ x0
 
     inputs = np.empty((iterations + 1, n))
     errors = np.empty((iterations + 1, n - q))

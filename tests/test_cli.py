@@ -1096,6 +1096,38 @@ def test_module_entry_point_runs_no_collection(tmp_path, run_name, collects):
     assert (proc.stdout != "") == (run_name == "__main__")
 
 
+IMPORT_COUNT = textwrap.dedent(
+    """
+    import gc, importlib, sys
+
+    starts = []
+    gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+    importlib.import_module(sys.argv[1])
+    print(len(starts), gc.isenabled())
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "module, collects", [("circulant_ilc._script", False), ("circulant_ilc.cli", True)]
+)
+def test_console_script_module_imports_with_the_collector_off(tmp_path, module, collects):
+    # the console script imports run from _script, which turns the collector off before
+    # cli, numpy and scipy load; imported as a library, cli leaves it on (33 collections)
+    proc = _child(["-c", IMPORT_COUNT, module], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    count, enabled = proc.stdout.split()
+    assert (int(count) > 0, enabled) == (collects, str(collects))
+
+
+def test_console_script_targets_the_collector_off_module():
+    from circulant_ilc import _script
+
+    pyproject = Path(cli_module.__file__).parents[2] / "pyproject.toml"
+    assert 'circulant-ilc = "circulant_ilc._script:run"' in pyproject.read_text(encoding="utf-8")
+    assert _script.run is cli_module.run
+
+
 CLOSE_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
 
 

@@ -4,6 +4,7 @@ Table values asserted here come from the benchmark reproduction; the
 acceptance suite re-checks them at the contract tolerances.
 """
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from numpy.testing import assert_allclose
 from circulant_ilc import (
     PRESETS,
     ContinuousPlant,
+    ConvergenceReport,
     DeletedModel,
     IllConditionedCirculantError,
     LiftedModel,
@@ -70,6 +72,14 @@ def dense_spectra(E):
     """Reference: dense svd and eigvals, sorted as analyze sorts them."""
     mags = np.abs(np.linalg.eigvals(E))
     return np.linalg.svd(E, compute_uv=False), mags[np.argsort(-mags, kind="stable")]
+
+
+def test_report_holds_only_the_spectra():
+    # the spectral radius and both verdicts are read from the sorted spectra
+    names = [f.name for f in dataclasses.fields(ConvergenceReport)]
+    assert names == ["singular_values", "eigenvalue_magnitudes"]
+    report = ConvergenceReport(np.array([1.0, 0.5]), np.array([0.99, 0.25]))
+    assert (report.spectral_radius, report.converges, report.monotonic) == (0.99, True, False)
 
 
 def test_analyze_zero_matrix():
@@ -470,7 +480,7 @@ def close_pair():
     E = np.diag(np.r_[0.0, 0.0, 0.0, 0.0, np.linspace(0.2, 0.6, n - 4)])
     E[:2, :2], E[2:4, 2:4] = block, block * (1 + 1e-14)
     Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
-    return DeletedModel(q=0, toeplitz=np.eye(n) - Q @ E @ Q.T, circulant_inverse=np.eye(n))
+    return DeletedModel(toeplitz=np.eye(n) - Q @ E @ Q.T, circulant_inverse=np.eye(n))
 
 
 def test_gain_sweep_close_top_pair_takes_no_dense_eigvalsh(monkeypatch):
@@ -522,7 +532,7 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     # Eigenvalues 1 and 1 + 1e-8 with condition number about 1e16: the closed
     # form cannot be certified at any phi but 0, where A = I.
     defective = DeletedModel(
-        q=0, toeplitz=np.array([[1.0, 1e8], [0.0, 1.0 + 1e-8]]), circulant_inverse=np.eye(2)
+        toeplitz=np.array([[1.0, 1e8], [0.0, 1.0 + 1e-8]]), circulant_inverse=np.eye(2)
     )
     sweep = gain_sweep(defective, GRID)
     assert len(calls) == np.count_nonzero(GRID) == GRID.size - 1
@@ -530,7 +540,7 @@ def test_gain_sweep_dense_eigvals_only_where_bound_demands(monkeypatch):
     assert np.array_equal(sweep.spectral_radius, rho)
     # A normal map: every eigenvalue is perfectly conditioned.
     calls.clear()
-    normal = DeletedModel(q=0, toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
+    normal = DeletedModel(toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
     sweep = gain_sweep(normal, GRID)
     assert calls == []
     exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
@@ -545,7 +555,7 @@ def test_gain_sweep_forms_eye_minus_phi_b_bit_for_bit(monkeypatch):
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: formed.append(a.copy()) or eigvals(a))
     B = np.array([[1.0, 1e8, 0.0], [0.0, 1.0 + 1e-8, 0.0], [0.0, 0.0, 0.5]])
-    gain_sweep(DeletedModel(q=0, toeplitz=B, circulant_inverse=np.eye(3)), GRID)
+    gain_sweep(DeletedModel(toeplitz=B, circulant_inverse=np.eye(3)), GRID)
     gains = GRID[GRID != 0]
     assert len(formed) == gains.size
     for phi, A in zip(gains, formed):
@@ -591,7 +601,7 @@ def test_gain_sweep_forms_gram_where_the_pair_cancels(fourth):
 
 
 def test_gain_sweep_exact_zero_map():
-    zero = DeletedModel(q=0, toeplitz=np.array([[1.0]]), circulant_inverse=np.array([[1.0]]))
+    zero = DeletedModel(toeplitz=np.array([[1.0]]), circulant_inverse=np.array([[1.0]]))
     sweep = gain_sweep(zero, [1.0])
     assert sweep.sigma_max[0] == 0.0
     assert sweep.spectral_radius[0] == 0.0
@@ -600,13 +610,13 @@ def test_gain_sweep_exact_zero_map():
 def test_gain_sweep_dense_eigvalsh_only_where_certificate_fails(monkeypatch):
     calls = count_calls(monkeypatch, np.linalg, ("eigvalsh", "eigh"))
     # theta = 0 cannot certify: 0 I - A^T A has no Cholesky factor
-    zero = DeletedModel(q=0, toeplitz=np.eye(2), circulant_inverse=np.eye(2))
+    zero = DeletedModel(toeplitz=np.eye(2), circulant_inverse=np.eye(2))
     sweep = gain_sweep(zero, [1.0, 1.0, 1.0])
     assert calls["eigvalsh"] + calls["eigh"] == [(2, 2)] * 3
     assert np.array_equal(sweep.sigma_max, np.zeros(3))
     # A normal map: once its top eigenvector changes, the warm start is an
     # eigenvector of the other eigenvalue, and the certificate falls back.
-    normal = DeletedModel(q=0, toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
+    normal = DeletedModel(toeplitz=np.diag([0.5, 2.0]), circulant_inverse=np.eye(2))
     sweep = gain_sweep(normal, GRID)
     exact = np.maximum(np.abs(1 - 0.5 * GRID), np.abs(1 - 2 * GRID))
     assert_allclose(sweep.sigma_max, exact, rtol=1e-15)
@@ -630,7 +640,7 @@ def test_gain_sweep_overflow_test_includes_the_norm_margin():
     b = 2.0**100
     phi = math.sqrt(sys.float_info.max) / b * (1 - convergence._SIGMA_MARGIN / 4)
     assert math.isfinite((1 + phi * b) ** 2)
-    deleted = DeletedModel(q=0, toeplitz=np.array([[b]]), circulant_inverse=np.eye(1))
+    deleted = DeletedModel(toeplitz=np.array([[b]]), circulant_inverse=np.eye(1))
     with pytest.raises(NonFiniteGainError):
         gain_sweep(deleted, [phi])
 
@@ -641,7 +651,7 @@ def test_gain_sweep_overflow_test_is_on_the_sum():
     # overflows: the sweep names the gain
     phi = math.sqrt(0.6 * sys.float_info.max)
     assert math.isfinite(phi * phi) and math.isfinite((1 + phi) ** 2)
-    deleted = DeletedModel(q=0, toeplitz=np.eye(1), circulant_inverse=np.eye(1))
+    deleted = DeletedModel(toeplitz=np.eye(1), circulant_inverse=np.eye(1))
     with pytest.raises(NonFiniteGainError):
         gain_sweep(deleted, [phi])
 
@@ -726,7 +736,7 @@ def test_gain_sweep_core_needs_a_complement():
     # no complement to act on. On E = I / 2 the core would then certify
     # max(|1 - phi|, |1 - phi / 2|), wrong wherever |1 - phi| is the larger.
     n = 2 * convergence._CORE_WIDTH
-    deleted = DeletedModel(q=0, toeplitz=np.eye(n) / 2, circulant_inverse=np.eye(n))
+    deleted = DeletedModel(toeplitz=np.eye(n) / 2, circulant_inverse=np.eye(n))
     sweep = gain_sweep(deleted, GRID)
     assert_allclose(sweep.sigma_max, np.abs(1 - GRID / 2), rtol=1e-15, atol=0)
 
@@ -736,7 +746,7 @@ def test_gain_sweep_core_counts_the_complement(monkeypatch):
     # A = (1 - phi) I + phi E is (1 - phi / 2) I on Z and (1 - phi) I on its
     # complement, the larger at every phi < 0, where the core certifies
     n, half = 40, np.r_[np.full(16, 0.5), np.zeros(24)]
-    deleted = DeletedModel(q=0, toeplitz=np.eye(n) - np.diag(half), circulant_inverse=np.eye(n))
+    deleted = DeletedModel(toeplitz=np.eye(n) - np.diag(half), circulant_inverse=np.eye(n))
     gains = GRID[GRID < 0]
     chol = count_calls(monkeypatch, scipy.linalg.lapack, ("dpotrf",))
     sweep = gain_sweep(deleted, gains)

@@ -1,12 +1,14 @@
-"""The input rules of every API entry point that takes a count or a real number.
+"""The input rules of every API entry point that takes a count, a real number or
+an array of them.
 
 A count must be an integer of at least its bound (and, for a deletion count,
 below the horizon); a real number must be finite and, where it has a bound, above
-it. Each entry point raises ValueError with the parameter's name first, then the
-rule, in the words the CLI prints after a field, and shows a rejected value the
-one way `errors.shown` does: its repr up to 20 characters, else cut. A count it
-accepts, a numpy integer too, it keeps as given; a finite real above its bound, a
-numpy float too, it accepts. Each rule's text is written only in errors.py.
+it; an array must hold integers or floats, each finite. Each entry point raises
+ValueError with the parameter's name first, then the rule, in the words the CLI
+prints after a field, and shows a rejected number the one way `errors.shown`
+does: its repr up to 20 characters, else cut. A count it accepts, a numpy integer
+too, it keeps as given; a finite real above its bound, a numpy float too, it
+accepts. Each rule's text is written only in errors.py.
 """
 
 import re
@@ -102,6 +104,25 @@ REALS = [
 ]
 
 
+def _run_with(name, size):
+    """run_ilc on the third-order bench with `size` copies of a value as argument `name`."""
+    def call(b, v):
+        given = {"trajectory": np.zeros(51), name: [v] * size}
+        return run_ilc(b.model, inverse_circulant_law(b.deleted(1)), iterations=1, **given)
+    return call
+
+
+# (entry point, parameter, call on the third-order bench and an entry the array repeats);
+# NaN, inf and None used to end in DivergedRunError at iteration 0, True and "3" to run
+# as 1.0 and 3.0 (a "3" state in numpy's UFuncTypeError), 1j and 10**400 in a TypeError
+# or OverflowError that named no argument
+ARRAYS = [
+    ("run_ilc", "trajectory", _run_with("trajectory", 51)),
+    ("run_ilc", "initial_input", _run_with("initial_input", 51)),
+    ("run_ilc", "initial_state", _run_with("initial_state", 3)),
+]
+
+
 def _cases():
     for entry, name, least, call, _ in COUNTS:
         # even a whole float; numpy's bool and a 0-d array are no Integral either
@@ -118,6 +139,9 @@ def _cases():
         if above is not None:  # the bound itself is the largest value outside
             for value in (float(above), -1.0):
                 yield entry, call, value, f"{name} must be positive"
+    for entry, name, call in ARRAYS:  # a bool, a string, a complex number, an object
+        for value in (np.nan, np.inf, -np.inf, True, "3", 1j, None, 10**400):
+            yield entry, call, value, f"{name} must be an array of finite numbers"
 
 
 CASES = list(_cases())
@@ -155,7 +179,9 @@ def test_a_real_may_be_the_largest_finite_float():
 
 def test_each_rule_is_written_only_in_errors():
     # the API and the CLI both call errors.check_integer and errors.check_real
-    rule = re.compile(r"must be (at least|below|an integer|a finite number|positive)")
+    rule = re.compile(
+        r"must be (at least|below|an integer|a finite number|an array of finite numbers|positive)"
+    )
     home = Path(errors.__file__)
     elsewhere = [
         f"{layer.name}:{number}: {line.strip()}"

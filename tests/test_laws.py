@@ -232,7 +232,7 @@ def test_accelerated_law_products(third, power, products):
     # products for S_p: 7 in all at p = 6, the power the worst-case experiment uses.
     dm = third.deleted(0)
     counted = DeletedModel(
-        dm.q, dm.toeplitz.view(_CountedMatrix), dm.circulant_inverse.view(_CountedMatrix)
+        dm.toeplitz.view(_CountedMatrix), dm.circulant_inverse.view(_CountedMatrix)
     )
     _CountedMatrix.products = 0
     accelerated_law(counted, power)

@@ -17,10 +17,12 @@ from numpy.testing import assert_allclose
 from circulant_ilc import (
     PRESETS,
     ContinuousPlant,
+    DeletedModel,
     DiscretePlant,
     IllConditionedCirculantError,
     LiftedModel,
     NumericalDegeneracyError,
+    analyze,
     circulant_inverse,
     circulant_matrix,
     delete_initial_steps,
@@ -30,6 +32,7 @@ from circulant_ilc import (
     frequency_response,
     markov_parameters,
     realize,
+    step_observability,
     toeplitz_matrix,
     unstable_zero_count,
 )
@@ -57,14 +60,7 @@ def fake_model(markov):
     n = markov.size
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     plant = DiscretePlant(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), T)
-    return LiftedModel(
-        plant=plant,
-        horizon=n,
-        markov=markov,
-        toeplitz=np.tril(markov[idx]),
-        observability=np.zeros((n, 1)),
-        circulant=markov[idx],
-    )
+    return LiftedModel(plant=plant, toeplitz=np.tril(markov[idx]), circulant=markov[idx])
 
 
 def test_toeplitz_integrator():
@@ -86,7 +82,7 @@ def test_observability_reproduces_free_response(third):
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(third.plant.order)
     free = recurse(third.plant, np.zeros(N), x0)
-    assert_allclose(third.model.observability @ x0, free, atol=1e-12)
+    assert_allclose(step_observability(third.plant, N) @ x0, free, atol=1e-12)
 
 
 def test_circulant_single_step(third):
@@ -229,7 +225,7 @@ def test_circulant_inverse_properties(benches):
         inv = bench.inverse
         assert np.max(np.abs(bench.model.circulant @ inv - np.eye(N))) < 1e-10
         assert circulant_deviation(inv) < 1e-10
-        eigs = np.fft.fft(bench.model.markov)
+        eigs = np.fft.fft(markov_parameters(bench.plant, N))
         assert_allclose(np.fft.fft(inv[:, 0]), 1.0 / eigs, atol=1e-10)
 
 
@@ -320,6 +316,48 @@ def test_property_default_deletion_is_unstable_zero_count(plant, n):
     assert np.array_equal(deleted.circulant_inverse, inverse[:, count:])
 
 
+def test_records_hold_only_what_their_arrays_cannot_give():
+    # the horizon, the Markov sequence, the free-response map and q are read from these
+    fields = {
+        record: [f.name for f in dataclasses.fields(record)] for record in (LiftedModel, DeletedModel)
+    }
+    assert fields == {
+        LiftedModel: ["plant", "toeplitz", "circulant"],
+        DeletedModel: ["toeplitz", "circulant_inverse"],
+    }
+
+
+def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
+    # DeletedModel(q=2, ...) used to build beside a toeplitz with one deleted row
+    dm = third.deleted(1)
+    with pytest.raises(TypeError):
+        DeletedModel(q=2, toeplitz=dm.toeplitz, circulant_inverse=dm.circulant_inverse)
+    assert DeletedModel(dm.toeplitz, dm.circulant_inverse).q == 1
+
+
+@PROPERTY
+@given(sampled_plants(), horizons, st.data())
+def test_property_derived_facts_match_the_arrays(plant, n, data):
+    model = LiftedModel.build(plant, n)
+    assert model.horizon == n
+    assert model.circulant[:, 0].tobytes() == markov_parameters(plant, n).tobytes()
+    try:
+        inverse = circulant_inverse(model)
+    except IllConditionedCirculantError:
+        inverse = model.circulant.T  # deletion only slices it
+    q = data.draw(st.integers(0, n - 1), label="q")
+    deleted = delete_initial_steps(model, inverse, q)
+    assert deleted.q == q
+    assert deleted.toeplitz.shape == deleted.circulant_inverse.shape[::-1] == (n - q, n)
+    for gain in (deleted.circulant_inverse, deleted.toeplitz.T):
+        report = analyze(error_propagation(deleted.toeplitz, gain))
+        sigma, mags = report.singular_values, report.eigenvalue_magnitudes
+        assert np.all(np.diff(sigma) <= 0) and np.all(np.diff(mags) <= 0)
+        assert (report.spectral_radius, report.converges, report.monotonic) == (
+            mags[0], mags[0] < 1.0, sigma[0] < 1.0
+        )
+
+
 def test_unstable_zero_leaves_tiny_singular_value(third):
     # the full-horizon map is ill-posed: one singular value falls far below the rest
     s = np.linalg.svd(third.model.toeplitz, compute_uv=False)
@@ -346,7 +384,7 @@ def test_property_toeplitz_matches_recursion(plant, n):
 def test_property_circulant_is_wrapped_markov(plant, n):
     model = LiftedModel.build(plant, n)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    assert np.array_equal(model.circulant, model.markov[idx])
+    assert np.array_equal(model.circulant, markov_parameters(plant, n)[idx])
     assert np.array_equal(circulant_matrix(plant, n), model.circulant)
     assert circulant_deviation(model.circulant) == 0.0
 
@@ -371,15 +409,16 @@ def test_property_circulant_eigenvalues_sum_the_markov_series(plant, n):
     # the FFT's N eps sum|m| plus the solve's n_x eps cond(z_k I - A) |C||(z_k I - A)^-1||tail|;
     # over 300 plants the error reached 9.8 of it.
     model = LiftedModel.build(plant, n)
+    markov = markov_parameters(plant, n)
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
     M = zs[:, None, None] * np.eye(plant.order) - plant.A
     tail = plant.B - np.linalg.matrix_power(plant.A, n) @ plant.B  # (I - A^N) B
     closed = zs * (plant.C @ np.linalg.solve(M, tail))[:, 0, 0]
     eps = np.finfo(float).eps
     spread = (np.abs(plant.C) @ np.abs(np.linalg.inv(M)) @ np.abs(tail))[:, 0, 0]
-    scale = n * eps * np.sum(np.abs(model.markov)) + plant.order * eps * np.linalg.cond(M) * spread
+    scale = n * eps * np.sum(np.abs(markov)) + plant.order * eps * np.linalg.cond(M) * spread
     # the DFT of the Markov sequence, and the diagonal of H Pc H^-1 built from the wrap
-    for eigenvalues in (np.fft.fft(model.markov), dft_verify(model).diagonal):
+    for eigenvalues in (np.fft.fft(markov), dft_verify(model).diagonal):
         assert np.all(np.abs(eigenvalues - closed) <= 50.0 * scale)
 
 

@@ -56,7 +56,7 @@ def small_model(seed=11):
     rng = np.random.default_rng(seed)
     P = np.eye(7, 6) + 0.3 * rng.standard_normal((7, 6))
     L = np.linalg.pinv(P) + 0.3 * rng.standard_normal((6, 7))
-    return DeletedModel(q=0, toeplitz=P, circulant_inverse=L)
+    return DeletedModel(toeplitz=P, circulant_inverse=L)
 
 
 # side 5 on the 51 x 50 preset gain is the default, which test_optimize_only_touches_region_gains runs
@@ -231,7 +231,7 @@ def test_top_positions_matches_stable_argsort():
 
 
 def test_optimize_stops_on_degenerate_spectrum():
-    dm = DeletedModel(q=0, toeplitz=np.eye(8), circulant_inverse=np.eye(8))
+    dm = DeletedModel(toeplitz=np.eye(8), circulant_inverse=np.eye(8))
     trace = optimize(dm, OptimizerConfig(iterations=50))
     assert trace.diagnostic is not None
     assert trace.sigma.shape == (1,)
@@ -320,7 +320,7 @@ def test_optimize_fills_rho_up_to_a_stop_inside_a_block(third, monkeypatch, stop
 def test_optimize_holds_at_most_2_15_entries_of_maps():
     # at n = 256 a block is one map: a longer descent keeps no more maps alive
     n = 256
-    dm = DeletedModel(q=0, toeplitz=np.eye(n), circulant_inverse=np.diag(np.linspace(0.1, 0.9, n)))
+    dm = DeletedModel(toeplitz=np.eye(n), circulant_inverse=np.diag(np.linspace(0.1, 0.9, n)))
     optimize(dm, OptimizerConfig(iterations=1))  # first-call allocations stay out of the peaks
     peaks = []
     for iterations in (1, 40):

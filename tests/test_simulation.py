@@ -29,6 +29,7 @@ from circulant_ilc import (
     run_ilc,
     scaled_inverse_circulant_law,
     signed_svd,
+    step_observability,
     worst_case_experiment,
 )
 from strategies import PROPERTY, horizons, sampled_plants
@@ -205,7 +206,7 @@ def test_initial_state_enters_through_observability(third):
     rng = np.random.default_rng(17)
     x0 = rng.standard_normal(third.plant.order)
     result = run_ilc(third.model, law, np.zeros(N), 0, initial_state=x0)
-    assert_allclose(result.errors[0], -(third.model.observability @ x0), atol=1e-12)
+    assert_allclose(result.errors[0], -(step_observability(third.plant, N) @ x0), atol=1e-12)
 
 
 def test_run_rejects_mismatched_shapes(third):
