@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteGainError, NumericalDegeneracyError
+from .errors import NonFiniteGainError, NumericalDegeneracyError, real_array
 from .laws import _identity_minus
 from .lifted import DeletedModel
 
@@ -365,13 +365,11 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     of about m / 2. Where the factorization fails, the dense eigenvalues of
     G are computed (_certified).
     """
-    gains = np.asarray(gains, dtype=float)
+    gains = real_array(gains, "gain grid")
     if gains.ndim != 1:
         raise ValueError("gain grid must be one-dimensional")
     if gains.size == 0:
         raise ValueError("gain grid must be nonempty")
-    if not np.isfinite(gains).all():
-        raise ValueError("gain grid must be finite")
     base = deleted.toeplitz @ deleted.circulant_inverse
     n = base.shape[0]
     mu, cond = _eigen_condition(base)

@@ -49,24 +49,30 @@ def circulant_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Finite-horizon matrices of a sampled plant: the circulant wrap of its Markov
-    parameters (its first column) and the wrap's lower triangle, the Toeplitz map."""
+    """Finite-horizon matrices of a sampled plant: the Toeplitz map, whose first
+    column is the Markov sequence, and the circulant wrap of that column, rebuilt
+    where it is read."""
 
     plant: DiscretePlant
     toeplitz: np.ndarray
-    circulant: np.ndarray
 
     @property
     def horizon(self):
-        return self.circulant.shape[0]
+        return self.toeplitz.shape[0]
+
+    @property
+    def circulant(self):
+        """The circulant wrap, entry (i, j) = C A^((i-j) mod N) B, rebuilt read-only."""
+        circulant = _circulant(self.toeplitz[:, 0])
+        circulant.flags.writeable = False
+        return circulant
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         check_integer(horizon, "horizon", least=1)
-        circulant = _circulant(markov_parameters(plant, horizon))
-        toeplitz = np.tril(circulant)
-        toeplitz.flags.writeable = circulant.flags.writeable = False
-        return cls(plant=plant, toeplitz=toeplitz, circulant=circulant)
+        toeplitz = np.tril(_circulant(markov_parameters(plant, horizon)))
+        toeplitz.flags.writeable = False
+        return cls(plant=plant, toeplitz=toeplitz)
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,14 @@ class DeletedModel:
 
     toeplitz: np.ndarray
     circulant_inverse: np.ndarray
+
+    def __post_init__(self):
+        shape, other = np.shape(self.toeplitz), np.shape(self.circulant_inverse)
+        if len(shape) != 2 or other != shape[::-1] or shape[0] > shape[1]:
+            raise ValueError(
+                "deleted model needs toeplitz (N-q, N) and circulant_inverse (N, N-q) "
+                f"with q >= 0, got {shape} and {other}"
+            )
 
     @property
     def q(self):
@@ -114,8 +128,9 @@ class DiagonalizationReport:
 def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     """Diagonalize the circulant by the DFT and compare with the frequency response."""
     n = model.horizon
-    # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows
-    PE = np.fft.ifft(np.fft.fft(model.circulant, axis=0), axis=1)
+    # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows.
+    # Pc is built complex: the FFT would take a complex copy of a real one on top of it.
+    PE = np.fft.ifft(np.fft.fft(_circulant(model.toeplitz[:, 0].astype(complex)), axis=0), axis=1)
     diagonal = PE.diagonal().copy()
     PE.flat[:: n + 1] -= diagonal  # zeroes the diagonal in place: PE is now the off-diagonal part
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
@@ -138,7 +153,7 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     the result is circulant by construction. It is read-only, so deleted models
     and laws can share it.
     """
-    eigs = np.fft.fft(model.circulant[:, 0])
+    eigs = np.fft.fft(model.toeplitz[:, 0])
     mags = np.abs(eigs)
     # fails closed: an all-zero or non-finite sequence marks every frequency bad
     bad = np.where(~(mags > _SINGULAR_RTOL * mags.max()))[0]

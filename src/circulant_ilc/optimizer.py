@@ -61,10 +61,15 @@ class OptimizationTrace:
 
 @dataclass(frozen=True)
 class SensitivityMap:
-    """Full sensitivity surface of sigma_1 and the columns whose peak stands out."""
+    """Full sensitivity surface of sigma_1 and the columns whose peak stands out:
+    those whose peak absolute sensitivity exceeds the median tenfold."""
 
     matrix: np.ndarray
-    flagged_columns: np.ndarray
+
+    @property
+    def flagged_columns(self):
+        scores = np.max(np.abs(self.matrix), axis=0)
+        return np.where(scores > _FLAG_FACTOR * np.median(scores))[0]
 
 
 def _check_gap(s: np.ndarray):
@@ -102,13 +107,9 @@ def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
 def sensitivity_map(deleted: DeletedModel) -> SensitivityMap:
     """Full sigma_1 sensitivity surface for the deleted inverse-circulant gain.
 
-    Columns whose peak absolute sensitivity exceeds the median tenfold are
-    flagged; for the benchmark plants these concentrate at the matrix edges.
+    For the benchmark plants the flagged columns concentrate at the matrix edges.
     """
-    matrix = sensitivity_matrix(deleted.toeplitz, deleted.circulant_inverse)
-    scores = np.max(np.abs(matrix), axis=0)
-    flagged = np.where(scores > _FLAG_FACTOR * np.median(scores))[0]
-    return SensitivityMap(matrix=matrix, flagged_columns=flagged)
+    return SensitivityMap(sensitivity_matrix(deleted.toeplitz, deleted.circulant_inverse))
 
 
 def descent_step(sigma: float, sensitivities: np.ndarray, weight: float) -> np.ndarray:

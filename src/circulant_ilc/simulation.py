@@ -86,7 +86,7 @@ def run_ilc(
     desired = real_array(trajectory, "trajectory")
     if desired.shape != (n,):
         raise ValueError(f"trajectory shape {desired.shape} != horizon ({n},)")
-    if law.gain.shape[0] != n or q < 0:
+    if law.gain.shape[0] != n:
         raise ValueError(f"law shape {law.gain.shape} incompatible with N={n}")
     check_integer(iterations, "iterations", least=0)
     u = np.zeros(n) if initial_input is None else real_array(initial_input, "initial_input")

@@ -448,7 +448,13 @@ def test_config_errors_name_the_field(tmp_path, capsys):
         plant.write_text(json.dumps({**spec, **extra}))
         assert run(["analyze", "--plant", plant, "--out", tmp_path]) == 2
         assert field in capsys.readouterr().err
-    for config, field in (({"n": "51"}, "n:"), ({"out": 5}, "out:")):
+    for config, field in (
+        ({"n": "51"}, "n:"),
+        ({"out": 5}, "out:"),
+        ({"plant": 5}, "plant: expected a JSON object, got int"),
+        ({"law": "nope"}, "law: must be one of ("),
+        ({"phi_min": 1.0, "phi_max": 0.5}, "phi_max: must not be below phi_min"),
+    ):
         bad.write_text(json.dumps({"out": str(tmp_path), **config}))
         assert run(["analyze", "--config", bad]) == 2
         assert field in capsys.readouterr().err
@@ -578,9 +584,10 @@ SECTION = "section parameters a, omega and zeta must be a finite number,"
         ({"first_order": 5}, "first_order must be a list of numbers"),
         ({"first_order": ["x"]}, f"{SECTION} got 'x'"),
         ({"first_order": [10**400]}, f"{SECTION} got '1{'0' * 19}'... (401 characters)"),
+        ([1, 2], "expected a JSON object, got list"),
     ],
     ids=["missing_zeta", "string_entry", "string_zeta", "extra_field", "number", "string_pole",
-         "pole_beyond_float"],
+         "pole_beyond_float", "list"],
 )
 def test_plant_sections_say_what_is_wrong(tmp_path, capsys, spec, message):
     # these used to print Python's own words: plant: 'zeta', plant: string indices

@@ -374,7 +374,7 @@ def test_gain_sweep_rejects_a_grid_of_more_than_one_dimension(third):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gain_sweep_rejects_a_non_finite_grid(third, bad):
     # a bad input, not the numerical breakdown NonFiniteGainError reports
-    with pytest.raises(ValueError, match="gain grid must be finite") as caught:
+    with pytest.raises(ValueError, match="gain grid must be an array of finite numbers") as caught:
         gain_sweep(third.deleted(1), [0.5, bad])
     assert not isinstance(caught.value, NonFiniteGainError)
 

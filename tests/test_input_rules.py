@@ -13,6 +13,7 @@ accepts. Each rule's text is written only in errors.py.
 
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from circulant_ilc import (
     delete_initial_steps,
     descent_step,
     discretize_zoh,
+    gain_sweep,
     inverse_circulant_law,
     make_trajectory,
     markov_parameters,
@@ -115,11 +117,13 @@ def _run_with(name, size):
 # (entry point, parameter, call on the third-order bench and an entry the array repeats);
 # NaN, inf and None used to end in DivergedRunError at iteration 0, True and "3" to run
 # as 1.0 and 3.0 (a "3" state in numpy's UFuncTypeError), 1j and 10**400 in a TypeError
-# or OverflowError that named no argument
+# or OverflowError that named no argument. The gain grid swept True and "3" as 1.0 and
+# 3.0, and the string array ["0.5", True] as 0.5 and 1.0
 ARRAYS = [
     ("run_ilc", "trajectory", _run_with("trajectory", 51)),
     ("run_ilc", "initial_input", _run_with("initial_input", 51)),
     ("run_ilc", "initial_state", _run_with("initial_state", 3)),
+    ("gain_sweep", "gain grid", lambda b, v: gain_sweep(b.deleted(1), [v] * 2)),
 ]
 
 
@@ -134,7 +138,7 @@ def _cases():
     for entry, name, above, call in REALS:  # 2.5 is a valid real
         # np.float32(np.inf) used to pass, numpy casting the float bound to float32's inf
         for value in (True, np.True_, np.nan, np.inf, -np.inf, np.float32(np.inf), "3", None,
-                      10**400):
+                      10**400, Fraction(10**400)):
             yield entry, call, value, f"{name} must be a finite number, got {shown(value)}"
         if above is not None:  # the bound itself is the largest value outside
             for value in (float(above), -1.0):
@@ -142,6 +146,8 @@ def _cases():
     for entry, name, call in ARRAYS:  # a bool, a string, a complex number, an object
         for value in (np.nan, np.inf, -np.inf, True, "3", 1j, None, 10**400):
             yield entry, call, value, f"{name} must be an array of finite numbers"
+    yield ("gain_sweep", lambda b, v: gain_sweep(b.deleted(1), v), ["0.5", True],
+           "gain grid must be an array of finite numbers")
 
 
 CASES = list(_cases())

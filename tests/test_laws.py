@@ -34,7 +34,8 @@ def propagation(dm, law):
 
 
 def test_learning_law_is_a_gain_matrix_whose_shape_gives_q():
-    for gain in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+    # a gain of more columns than rows used to give q < 0
+    for gain in (np.ones(3), np.ones((2, 2, 2)), 1.0, np.ones((3, 5))):
         with pytest.raises(ValueError, match="matrix"):
             LearningLaw(gain)
     assert LearningLaw(np.ones((5, 3))).q == 2

@@ -60,7 +60,7 @@ def fake_model(markov):
     n = markov.size
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     plant = DiscretePlant(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), T)
-    return LiftedModel(plant=plant, toeplitz=np.tril(markov[idx]), circulant=markov[idx])
+    return LiftedModel(plant=plant, toeplitz=np.tril(markov[idx]))
 
 
 def test_toeplitz_integrator():
@@ -317,14 +317,26 @@ def test_property_default_deletion_is_unstable_zero_count(plant, n):
 
 
 def test_records_hold_only_what_their_arrays_cannot_give():
-    # the horizon, the Markov sequence, the free-response map and q are read from these
+    # the horizon, the Markov sequence, the circulant wrap, the free-response map
+    # and q are read from these
     fields = {
         record: [f.name for f in dataclasses.fields(record)] for record in (LiftedModel, DeletedModel)
     }
     assert fields == {
-        LiftedModel: ["plant", "toeplitz", "circulant"],
+        LiftedModel: ["plant", "toeplitz"],
         DeletedModel: ["toeplitz", "circulant_inverse"],
     }
+
+
+@pytest.mark.parametrize("n", [1, 51, 256])
+def test_a_built_model_holds_one_matrix(third, n):
+    # the circulant wrap used to be stored beside the Toeplitz map: 16 N^2 bytes
+    model = LiftedModel.build(third.plant, n)
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 8 * n * n
+    circulant = model.circulant
+    assert not circulant.flags.writeable and not np.shares_memory(circulant, model.toeplitz)
+    assert np.array_equal(np.tril(circulant), model.toeplitz)
 
 
 def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
@@ -333,6 +345,15 @@ def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
     with pytest.raises(TypeError):
         DeletedModel(q=2, toeplitz=dm.toeplitz, circulant_inverse=dm.circulant_inverse)
     assert DeletedModel(dm.toeplitz, dm.circulant_inverse).q == 1
+    # a 7 x 6 plant matrix used to read q = -1, and the inverse's shape was not checked
+    for toeplitz, inverse in [
+        (np.zeros((7, 6)), np.zeros((6, 7))),
+        (dm.toeplitz, dm.circulant_inverse.T),
+        (dm.toeplitz, third.inverse),
+        (np.zeros(3), np.zeros(3)),
+    ]:
+        with pytest.raises(ValueError, match="^deleted model needs toeplitz"):
+            DeletedModel(toeplitz, inverse)
 
 
 @PROPERTY

@@ -52,10 +52,10 @@ def corner_mask(shape, k):
 
 
 def small_model(seed=11):
-    """A 6 x 7 gain on a 7 x 6 plant: the two 5-square corners share columns 2-4."""
+    """A 7 x 6 gain on a 6 x 7 plant (q = 1): the two 5-square corners share columns 1-4."""
     rng = np.random.default_rng(seed)
-    P = np.eye(7, 6) + 0.3 * rng.standard_normal((7, 6))
-    L = np.linalg.pinv(P) + 0.3 * rng.standard_normal((6, 7))
+    P = np.eye(6, 7) + 0.3 * rng.standard_normal((6, 7))
+    L = np.linalg.pinv(P) + 0.3 * rng.standard_normal((7, 6))
     return DeletedModel(toeplitz=P, circulant_inverse=L)
 
 
@@ -68,7 +68,7 @@ def test_region_size_sets_the_corner_blocks(third, k, overlap):
     changed = trace.gain != dm.circulant_inverse
     mask = corner_mask(changed.shape, k)
     assert np.array_equal(changed, mask)
-    assert mask.sum() == (5 * 7 if overlap else 2 * k * k)
+    assert mask.sum() == (5 * 6 if overlap else 2 * k * k)
     rows, cols = _corner_positions(changed.shape, k)  # the descent's own order: row-major
     assert np.array_equal(np.ravel_multi_index((rows, cols), mask.shape), np.flatnonzero(mask))
 

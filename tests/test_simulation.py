@@ -216,6 +216,8 @@ def test_run_rejects_mismatched_shapes(third):
         run_ilc(third.model, law, np.zeros(N - 1), 3)
     with pytest.raises(ValueError):
         run_ilc(third.model, law, np.zeros((N, 1)), 3)
+    with pytest.raises(ValueError, match=rf"law shape \({N + 1}, {N}\) incompatible with N={N}"):
+        run_ilc(third.model, LearningLaw(np.eye(N + 1, N)), np.zeros(N), 3)
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 2, 7])
