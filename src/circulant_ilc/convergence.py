@@ -40,9 +40,7 @@ class ConvergenceReport:
 
 
 def _sorted_magnitudes(values):
-    mags = np.abs(values)
-    order = np.argsort(-mags, kind="stable")  # ties keep original index order
-    return mags[order]
+    return -np.sort(-np.abs(values))
 
 
 def analyze(matrix: np.ndarray) -> ConvergenceReport:
@@ -286,8 +284,8 @@ def _shifted_core_spectra(matrix, work, bound):
         return None
     M[np.diag_indices(M.shape[0])] += shift  # c I + M
     rest = np.full(n - M.shape[0], abs(shift))  # c on Z's complement
-    singular = np.concatenate((np.linalg.svd(M, compute_uv=False), rest))
-    return -np.sort(-singular), _sorted_magnitudes(np.concatenate((np.linalg.eigvals(M), rest)))
+    spectra = (np.linalg.svd(M, compute_uv=False), np.linalg.eigvals(M))
+    return tuple(_sorted_magnitudes(np.concatenate((values, rest))) for values in spectra)
 
 
 def _core_sigma(core, phi):

@@ -42,10 +42,13 @@ def check_real(value, name, above=None):
 
 def real_array(value, name):
     """`value` as a float64 array; raise ValueError naming `name` unless it is an array
-    of integers or floats, each finite as a float (bools, strings, complex numbers and
-    Python objects are not)."""
+    of integers or floats, each finite as a float (bools, even one among numbers in a
+    list, strings, complex numbers and Python objects are not)."""
     array = np.asarray(value)
-    if array.dtype.kind in "iuf":
+    # numpy reads a bool among numbers as 0 or 1: search a non-array, whose dtype cannot tell
+    if array.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
+            isinstance(x, bool) or getattr(x, "dtype", None) == bool
+            for x in np.asarray(value, dtype=object).flat)):
         array = array.astype(float, copy=False)
         if np.isfinite(array).all():
             return array

@@ -15,21 +15,22 @@ _SINGULAR_RTOL = 1e-12     # circulant eigenvalue magnitude, relative to the lar
 _IMAG_RESIDUE_TOL = 1e-10  # allowed imaginary part of the inverse, per unit of its round-off scale
 
 
-def _circulant(col: np.ndarray) -> np.ndarray:
-    """Circulant matrix with first column `col`, entry (i, j) = col[(i - j) mod n],
-    each a bitwise copy; np.tril of it is the lower-triangular Toeplitz matrix.
-    Row i is the window of reversed `col`, wrapped once, that starts at n - 1 - i."""
+def circulant_matrix(col: np.ndarray) -> np.ndarray:
+    """Read-only circulant matrix with first column `col`, entry (i, j) a bitwise copy of
+    col[(i - j) mod n]: row i is the window of reversed `col`, wrapped once, from n - 1 - i."""
     r = col[::-1]
-    return sliding_window_view(np.concatenate((r, r[:-1])), col.size)[::-1].copy()
+    circulant = sliding_window_view(np.concatenate((r, r[:-1])), col.size)[::-1].copy()
+    circulant.flags.writeable = False
+    return circulant
 
 
-def toeplitz_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
-    """Lower-triangular Toeplitz map from input history to output history.
-
-    Row k of the product with u reproduces y(k+1) of the state recursion for
-    x(0) = 0, honoring the one-step input-to-output delay of the sampled plant.
-    """
-    return np.tril(circulant_matrix(plant, horizon))
+def toeplitz_matrix(col: np.ndarray) -> np.ndarray:
+    """Read-only np.tril of circulant_matrix(col). Of the Markov sequence it is the map
+    from input history to output history: row k of its product with u is y(k+1) of the
+    state recursion for x(0) = 0, which honors the sampled plant's one-step delay."""
+    toeplitz = np.tril(circulant_matrix(col))
+    toeplitz.flags.writeable = False
+    return toeplitz
 
 
 def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
@@ -42,19 +43,25 @@ def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
     return O
 
 
-def circulant_matrix(plant: DiscretePlant, horizon: int) -> np.ndarray:
-    """Circulant wrap of the Markov parameters: entry (i, j) = C A^((i-j) mod N) B."""
-    return _circulant(markov_parameters(plant, horizon))
-
-
 @dataclass(frozen=True)
 class LiftedModel:
-    """Finite-horizon matrices of a sampled plant: the Toeplitz map, whose first
-    column is the Markov sequence, and the circulant wrap of that column, rebuilt
-    where it is read."""
+    """Finite-horizon matrices of a sampled plant: the Toeplitz map, whose first column is the
+    Markov sequence, and that column's circulant wrap, rebuilt where it is read. The map must be
+    toeplitz_matrix of that column bit for bit (a NaN matches itself, and circulant_inverse
+    rejects it); one read-only all the way down (build's) is shared, any other is copied."""
 
     plant: DiscretePlant
     toeplitz: np.ndarray
+
+    def __post_init__(self):
+        toeplitz = _readonly(self.toeplitz)
+        # compared bit for bit: numpy's equal_nan would copy both arrays
+        if toeplitz.ndim != 2 or not toeplitz.size or not np.array_equal(
+            toeplitz.view(np.uint64), toeplitz_matrix(toeplitz[:, 0]).view(np.uint64)
+        ):
+            raise ValueError("lifted model needs toeplitz, the N x N lower-triangular "
+                             f"Toeplitz matrix of its first column, got shape {toeplitz.shape}")
+        object.__setattr__(self, "toeplitz", toeplitz)
 
     @property
     def horizon(self):
@@ -63,16 +70,12 @@ class LiftedModel:
     @property
     def circulant(self):
         """The circulant wrap, entry (i, j) = C A^((i-j) mod N) B, rebuilt read-only."""
-        circulant = _circulant(self.toeplitz[:, 0])
-        circulant.flags.writeable = False
-        return circulant
+        return circulant_matrix(self.toeplitz[:, 0])
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         check_integer(horizon, "horizon", least=1)
-        toeplitz = np.tril(_circulant(markov_parameters(plant, horizon)))
-        toeplitz.flags.writeable = False
-        return cls(plant=plant, toeplitz=toeplitz)
+        return cls(plant=plant, toeplitz=toeplitz_matrix(markov_parameters(plant, horizon)))
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,8 @@ class DeletedModel:
     toeplitz: rows q+1..N of the full Toeplitz map; its shape (N-q, N) gives q.
     circulant_inverse: columns q+1..N of the inverse circulant, shape (N, N-q).
 
-    Both are read-only: views of the arrays they are cut from where those are
-    read-only all the way down, as LiftedModel.build's and circulant_inverse's
-    are, and copies otherwise.
+    Both are read-only: toeplitz a view of the model's map, circulant_inverse a view
+    of an inverse read-only all the way down (circulant_inverse's), else a copy.
     """
 
     toeplitz: np.ndarray
@@ -130,7 +132,8 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     n = model.horizon
     # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows.
     # Pc is built complex: the FFT would take a complex copy of a real one on top of it.
-    PE = np.fft.ifft(np.fft.fft(_circulant(model.toeplitz[:, 0].astype(complex)), axis=0), axis=1)
+    PE = np.fft.fft(circulant_matrix(model.toeplitz[:, 0].astype(complex)), axis=0)
+    PE = np.fft.ifft(PE, axis=1)
     diagonal = PE.diagonal().copy()
     PE.flat[:: n + 1] -= diagonal  # zeroes the diagonal in place: PE is now the off-diagonal part
     zs = np.exp(2j * np.pi / n) ** np.arange(n)
@@ -148,10 +151,9 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
 def circulant_inverse(model: LiftedModel) -> np.ndarray:
     """Invert the circulant through its DFT eigenvalues.
 
-    The eigenvalues are the DFT of the first column, the Markov sequence; the
-    inverse is the circulant built from the inverse DFT of their reciprocals, so
-    the result is circulant by construction. It is read-only, so deleted models
-    and laws can share it.
+    The eigenvalues are the DFT of the first column, the Markov sequence; the inverse
+    is circulant_matrix of the inverse DFT of their reciprocals, so it is circulant by
+    construction, and read-only, so deleted models and laws can share it.
     """
     eigs = np.fft.fft(model.toeplitz[:, 0])
     mags = np.abs(eigs)
@@ -164,9 +166,7 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     residue = np.max(np.abs(col.imag))
     if residue > _IMAG_RESIDUE_TOL * np.max(np.abs(col)) * mags.max() / mags.min():
         raise NumericalDegeneracyError(f"imaginary residue {residue:.3e} in circulant inverse")
-    inverse = _circulant(col.real)
-    inverse.flags.writeable = False
-    return inverse
+    return circulant_matrix(col.real)
 
 
 def delete_initial_steps(
@@ -180,6 +180,4 @@ def delete_initial_steps(
     if q is None:
         q = unstable_zero_count(model.plant)
     check_integer(q, "q", least=0, below=model.horizon)
-    return DeletedModel(
-        toeplitz=_readonly(model.toeplitz[q:]), circulant_inverse=_readonly(inverse[:, q:])
-    )
+    return DeletedModel(toeplitz=model.toeplitz[q:], circulant_inverse=_readonly(inverse[:, q:]))

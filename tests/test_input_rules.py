@@ -106,24 +106,25 @@ REALS = [
 ]
 
 
-def _run_with(name, size):
-    """run_ilc on the third-order bench with `size` copies of a value as argument `name`."""
-    def call(b, v):
-        given = {"trajectory": np.zeros(51), name: [v] * size}
+def _run_with(name):
+    """run_ilc on the third-order bench with an array as argument `name`."""
+    def call(b, array):
+        given = {"trajectory": np.zeros(51), name: array}
         return run_ilc(b.model, inverse_circulant_law(b.deleted(1)), iterations=1, **given)
     return call
 
 
-# (entry point, parameter, call on the third-order bench and an entry the array repeats);
-# NaN, inf and None used to end in DivergedRunError at iteration 0, True and "3" to run
-# as 1.0 and 3.0 (a "3" state in numpy's UFuncTypeError), 1j and 10**400 in a TypeError
-# or OverflowError that named no argument. The gain grid swept True and "3" as 1.0 and
-# 3.0, and the string array ["0.5", True] as 0.5 and 1.0
+# (entry point, parameter, the array's size, call on the third-order bench and the array);
+# in an array that repeats one entry, NaN, inf and None used to end in DivergedRunError at
+# iteration 0, True and "3" to run as 1.0 and 3.0 (a "3" state in numpy's UFuncTypeError),
+# 1j and 10**400 in a TypeError or OverflowError that named no argument. The gain grid
+# swept True and "3" as 1.0 and 3.0, and the string array ["0.5", True] as 0.5 and 1.0.
+# One True among floats, [0.5, True] say, each entry point used to take as 1.0
 ARRAYS = [
-    ("run_ilc", "trajectory", _run_with("trajectory", 51)),
-    ("run_ilc", "initial_input", _run_with("initial_input", 51)),
-    ("run_ilc", "initial_state", _run_with("initial_state", 3)),
-    ("gain_sweep", "gain grid", lambda b, v: gain_sweep(b.deleted(1), [v] * 2)),
+    ("run_ilc", "trajectory", 51, _run_with("trajectory")),
+    ("run_ilc", "initial_input", 51, _run_with("initial_input")),
+    ("run_ilc", "initial_state", 3, _run_with("initial_state")),
+    ("gain_sweep", "gain grid", 2, lambda b, v: gain_sweep(b.deleted(1), v)),
 ]
 
 
@@ -143,9 +144,11 @@ def _cases():
         if above is not None:  # the bound itself is the largest value outside
             for value in (float(above), -1.0):
                 yield entry, call, value, f"{name} must be positive"
-    for entry, name, call in ARRAYS:  # a bool, a string, a complex number, an object
+    for entry, name, size, call in ARRAYS:  # a bool, a string, a complex number, an object
+        repeated = lambda b, v, call=call, size=size: call(b, [v] * size)
         for value in (np.nan, np.inf, -np.inf, True, "3", 1j, None, 10**400):
-            yield entry, call, value, f"{name} must be an array of finite numbers"
+            yield entry, repeated, value, f"{name} must be an array of finite numbers"
+        yield entry, call, [0.5] * (size - 1) + [True], f"{name} must be an array of finite numbers"
     yield ("gain_sweep", lambda b, v: gain_sweep(b.deleted(1), v), ["0.5", True],
            "gain grid must be an array of finite numbers")
 
@@ -181,6 +184,17 @@ def test_reals_accept_a_finite_number_above_the_bound(third, entry, name, above,
 def test_a_real_may_be_the_largest_finite_float():
     for value in (sys.float_info.max, -sys.float_info.max):
         check_real(value, "x")
+
+
+def test_an_array_holds_no_bool_wherever_it_sits():
+    # numpy casts a bool among numbers, even a numpy bool or a 0-d bool array, to 0 or 1
+    for value in ([1, True], [[0.5], [np.True_]], [np.zeros(1), np.ones(1, bool)],
+                  [np.array(True), 0.5], (0.5, np.False_)):
+        with pytest.raises(ValueError, match="^x must be an array of finite numbers$"):
+            errors.real_array(value, "x")
+    numbers = np.arange(3.0)
+    assert errors.real_array(numbers, "x") is numbers  # an array's dtype answers: no copy
+    assert errors.real_array([1, np.float64(0.5), np.array(2)], "x").tolist() == [1.0, 0.5, 2.0]
 
 
 def test_each_rule_is_written_only_in_errors():

@@ -4,8 +4,11 @@ Oracles: direct state recursion for the Toeplitz map, dense LU inversion for
 the structured inverse, and explicit complex conjugation for the DFT check.
 """
 
+import ast
 import dataclasses
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,16 +59,15 @@ def recurse(plant, inputs, x0=None):
 
 def fake_model(markov):
     """LiftedModel wrapper around a raw Markov sequence (for inverse tests)."""
-    markov = np.asarray(markov, dtype=float)
-    n = markov.size
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     plant = DiscretePlant(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), T)
-    return LiftedModel(plant=plant, toeplitz=np.tril(markov[idx]))
+    return LiftedModel(plant=plant, toeplitz=toeplitz_matrix(np.asarray(markov, dtype=float)))
 
 
 def test_toeplitz_integrator():
     plant = DiscretePlant(np.ones((1, 1)), np.full((1, 1), T), np.ones((1, 1)), T)
-    assert_allclose(toeplitz_matrix(plant, 3), T * np.tril(np.ones((3, 3))), atol=1e-15)
+    assert_allclose(
+        toeplitz_matrix(markov_parameters(plant, 3)), T * np.tril(np.ones((3, 3))), atol=1e-15
+    )
 
 
 @pytest.mark.parametrize("name", ["third_order", "fourth_order", "fifth_order"])
@@ -87,7 +89,7 @@ def test_observability_reproduces_free_response(third):
 
 def test_circulant_single_step(third):
     assert_allclose(
-        circulant_matrix(third.plant, 1),
+        circulant_matrix(markov_parameters(third.plant, 1)),
         [[(third.plant.C @ third.plant.B)[0, 0]]],
         atol=0,
     )
@@ -99,7 +101,7 @@ def test_circulant_rotation_pattern():
     expected = np.array(
         [[m[0], m[2], m[1]], [m[1], m[0], m[2]], [m[2], m[1], m[0]]]
     )
-    assert np.array_equal(circulant_matrix(plant, 3), expected)
+    assert np.array_equal(circulant_matrix(m), expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 256])
@@ -117,9 +119,10 @@ def test_builders_copy_scipys_bits(n, monkeypatch):
         circulant = scipy.linalg.circulant(m).tobytes()
         toeplitz = scipy.linalg.toeplitz(m, np.zeros(n)).tobytes()
         model = LiftedModel.build(plant, n)
-        assert circulant_matrix(plant, n).tobytes() == model.circulant.tobytes() == circulant
-        assert toeplitz_matrix(plant, n).tobytes() == model.toeplitz.tobytes() == toeplitz
-        assert lifted._circulant(m.astype(complex).real).tobytes() == circulant  # a strided view
+        assert circulant_matrix(m).tobytes() == model.circulant.tobytes() == circulant
+        assert toeplitz_matrix(m).tobytes() == model.toeplitz.tobytes() == toeplitz
+        assert circulant_matrix(m.astype(complex).real).tobytes() == circulant  # a strided view
+        assert not (circulant_matrix(m).flags.writeable or toeplitz_matrix(m).flags.writeable)
         assert model.circulant.shape == model.toeplitz.shape == (n, n)
 
 
@@ -133,7 +136,7 @@ def test_circulant_equals_basis_expansion(third):
         for i in range(n):
             basis[i, (i - r) % n] = 1.0
         total += m[r] * basis
-    assert np.array_equal(circulant_matrix(third.plant, n), total)
+    assert np.array_equal(circulant_matrix(m), total)
 
 
 def test_first_columns_of_toeplitz_and_circulant_agree(benches):
@@ -284,10 +287,11 @@ def test_delete_copies_what_its_caller_can_write(third):
     inverse = np.array(third.inverse)
     hidden = inverse.view()  # read-only itself, but it views a writable array
     hidden.flags.writeable = False
-    model = dataclasses.replace(third.model, toeplitz=np.array(third.model.toeplitz))
+    toeplitz = np.array(third.model.toeplitz)  # the model holds a copy of it
+    model = dataclasses.replace(third.model, toeplitz=toeplitz)
     deleted = [delete_initial_steps(model, inverse, 1), delete_initial_steps(model, hidden, 1)]
     inverse[:] = 0.0
-    model.toeplitz[:] = 0.0
+    toeplitz[:] = 0.0
     for dm in deleted:
         assert not dm.toeplitz.flags.writeable and not dm.circulant_inverse.flags.writeable
         assert np.array_equal(dm.toeplitz, third.model.toeplitz[1:])
@@ -356,6 +360,55 @@ def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
             DeletedModel(toeplitz, inverse)
 
 
+def test_a_lifted_model_holds_the_toeplitz_matrix_of_its_first_column(third):
+    # a 3 x 5 map used to build, reading horizon 3 and a 3 x 3 circulant beside it
+    good = toeplitz_matrix(np.arange(1.0, 8.0))
+    moved, above, signed = np.array(good), np.array(good), np.array(good)
+    moved[4, 1] = good[5, 1]  # one entry of the third subdiagonal holds the fourth's value
+    above[0, 1] = 1.0
+    signed[0, 1] = -0.0  # equal in value, but the map is compared bit for bit
+    for toeplitz in [np.tril(np.arange(1.0, 16).reshape(3, 5)), moved, above, signed,
+                     good[:, :1], np.arange(3.0), np.zeros(0), np.zeros((0, 0)), np.zeros((3, 0))]:
+        with pytest.raises(ValueError) as caught:
+            LiftedModel(third.plant, toeplitz)
+        assert str(caught.value) == (
+            "lifted model needs toeplitz, the N x N lower-triangular Toeplitz matrix of its "
+            f"first column, got shape {np.shape(toeplitz)}"
+        )
+
+
+def test_a_lifted_model_shares_a_read_only_map_and_copies_a_writable_one(third):
+    assert LiftedModel(third.plant, third.model.toeplitz).toeplitz is third.model.toeplitz
+    writable = np.array(third.model.toeplitz)
+    hidden = writable.view()  # read-only itself, but it views a writable array
+    hidden.flags.writeable = False
+    for given in (writable, hidden):
+        held = LiftedModel(third.plant, given).toeplitz
+        assert not held.flags.writeable and not np.shares_memory(held, writable)
+        assert held.tobytes() == writable.tobytes()
+
+
+def test_each_lifted_matrix_is_formed_only_by_its_builder():
+    # _circulant, LiftedModel.build and the two public builders each formed them
+    form = re.compile(r"sliding_window_view\(|np\.tril\(")
+    home = Path(lifted.__file__)
+    builders = {
+        number
+        for node in ast.parse(home.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("circulant_matrix", "toeplitz_matrix")
+        for number in range(node.lineno, node.end_lineno + 1)
+    }
+    elsewhere = [
+        f"{layer.name}:{number}: {line.strip()}"
+        for layer in sorted(home.parent.glob("*.py"))
+        for number, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), 1)
+        if form.search(line) and not (layer == home and number in builders)
+    ]
+    assert elsewhere == []
+    assert len(form.findall(home.read_text(encoding="utf-8"))) == 2
+
+
 @PROPERTY
 @given(sampled_plants(), horizons, st.data())
 def test_property_derived_facts_match_the_arrays(plant, n, data):
@@ -397,7 +450,7 @@ def test_property_toeplitz_matches_recursion(plant, n):
     u = np.random.default_rng(n).standard_normal(n)
     scale = np.max(np.abs(model.toeplitz) @ np.abs(u))
     assert_allclose(model.toeplitz @ u, recurse(plant, u), rtol=0, atol=1e-12 * scale)
-    assert np.array_equal(toeplitz_matrix(plant, n), model.toeplitz)
+    assert np.array_equal(toeplitz_matrix(markov_parameters(plant, n)), model.toeplitz)
 
 
 @PROPERTY
@@ -406,7 +459,7 @@ def test_property_circulant_is_wrapped_markov(plant, n):
     model = LiftedModel.build(plant, n)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     assert np.array_equal(model.circulant, markov_parameters(plant, n)[idx])
-    assert np.array_equal(circulant_matrix(plant, n), model.circulant)
+    assert np.array_equal(circulant_matrix(markov_parameters(plant, n)), model.circulant)
     assert circulant_deviation(model.circulant) == 0.0
 
 

@@ -221,7 +221,7 @@ def test_markov_single_parameter(third):
 
 def test_markov_equals_first_toeplitz_column(benches):
     for bench in benches.values():
-        P = toeplitz_matrix(bench.plant, 51)
+        P = toeplitz_matrix(markov_parameters(bench.plant, 51))
         assert np.array_equal(P[:, 0], markov_parameters(bench.plant, 51))
 
 
