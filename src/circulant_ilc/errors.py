@@ -43,8 +43,12 @@ def check_real(value, name, above=None):
 def real_array(value, name):
     """`value` as a float64 array; raise ValueError naming `name` unless it is an array
     of integers or floats, each finite as a float (bools, even one among numbers in a
-    list, strings, complex numbers and Python objects are not)."""
-    array = np.asarray(value)
+    list, strings, complex numbers, Python objects and ragged sequences are not)."""
+    rule = f"{name} must be an array of finite numbers"
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape": a ragged sequence has no array form
+        raise ValueError(rule) from None
     # numpy reads a bool among numbers as 0 or 1: search a non-array, whose dtype cannot tell
     if array.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
             isinstance(x, bool) or getattr(x, "dtype", None) == bool
@@ -52,7 +56,7 @@ def real_array(value, name):
         array = array.astype(float, copy=False)
         if np.isfinite(array).all():
             return array
-    raise ValueError(f"{name} must be an array of finite numbers")
+    raise ValueError(rule)
 
 
 def _in_float_range(value):

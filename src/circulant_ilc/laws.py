@@ -22,7 +22,7 @@ class LearningLaw:
     gain: np.ndarray
 
     def __post_init__(self):
-        gain = _readonly(self.gain)
+        gain = _readonly(self.gain, "gain")
         if gain.ndim != 2 or gain.shape[0] < gain.shape[1]:
             raise ValueError(f"gain must be an N x (N-q) matrix with q >= 0, got shape {gain.shape}")
         object.__setattr__(self, "gain", gain)

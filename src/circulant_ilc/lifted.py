@@ -2,6 +2,7 @@
 DFT diagonalization, structured inversion, and initial-step deletion."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,10 +26,10 @@ def circulant_matrix(col: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_matrix(col: np.ndarray) -> np.ndarray:
-    """Read-only np.tril of circulant_matrix(col). Of the Markov sequence it is the map
-    from input history to output history: row k of its product with u is y(k+1) of the
-    state recursion for x(0) = 0, which honors the sampled plant's one-step delay."""
-    toeplitz = np.tril(circulant_matrix(col))
+    """Read-only circulant_matrix(col) with zeros for its wrap: the windows of reversed `col`
+    padded with n - 1 zeros. Of the Markov sequence it is the input-to-output history map: row k
+    of its product with u is y(k+1) of the recursion from x(0) = 0 (the one-step delay)."""
+    toeplitz = sliding_window_view(np.pad(col[::-1], (0, col.size - 1)), col.size)[::-1].copy()
     toeplitz.flags.writeable = False
     return toeplitz
 
@@ -45,37 +46,36 @@ def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Finite-horizon matrices of a sampled plant: the Toeplitz map, whose first column is the
-    Markov sequence, and that column's circulant wrap, rebuilt where it is read. The map must be
-    toeplitz_matrix of that column bit for bit (a NaN matches itself, and circulant_inverse
-    rejects it); one read-only all the way down (build's) is shared, any other is copied."""
+    """Finite-horizon matrices of a sampled plant, held as its Markov sequence (read-only: shared
+    if no array under it is writable, else copied; a NaN or inf passes to circulant_inverse): the
+    Toeplitz map is formed on first read and kept, the circulant wrap rebuilt where it is read."""
 
     plant: DiscretePlant
-    toeplitz: np.ndarray
+    markov: np.ndarray
 
     def __post_init__(self):
-        toeplitz = _readonly(self.toeplitz)
-        # compared bit for bit: numpy's equal_nan would copy both arrays
-        if toeplitz.ndim != 2 or not toeplitz.size or not np.array_equal(
-            toeplitz.view(np.uint64), toeplitz_matrix(toeplitz[:, 0]).view(np.uint64)
-        ):
-            raise ValueError("lifted model needs toeplitz, the N x N lower-triangular "
-                             f"Toeplitz matrix of its first column, got shape {toeplitz.shape}")
-        object.__setattr__(self, "toeplitz", toeplitz)
+        markov = _readonly(self.markov, "markov")
+        if markov.ndim != 1 or not markov.size:
+            raise ValueError(f"markov must be a nonempty 1-D array, got shape {markov.shape}")
+        object.__setattr__(self, "markov", markov)
 
     @property
     def horizon(self):
-        return self.toeplitz.shape[0]
+        return self.markov.size
+
+    @cached_property
+    def toeplitz(self):
+        return toeplitz_matrix(self.markov)
 
     @property
     def circulant(self):
         """The circulant wrap, entry (i, j) = C A^((i-j) mod N) B, rebuilt read-only."""
-        return circulant_matrix(self.toeplitz[:, 0])
+        return circulant_matrix(self.markov)
 
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         check_integer(horizon, "horizon", least=1)
-        return cls(plant=plant, toeplitz=toeplitz_matrix(markov_parameters(plant, horizon)))
+        return cls(plant=plant, markov=markov_parameters(plant, horizon))
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def dft_verify(model: LiftedModel) -> DiagonalizationReport:
     n = model.horizon
     # H Pc H^-1 with H^-1 = H^H / N: a forward DFT down the columns, an inverse one along the rows.
     # Pc is built complex: the FFT would take a complex copy of a real one on top of it.
-    PE = np.fft.fft(circulant_matrix(model.toeplitz[:, 0].astype(complex)), axis=0)
+    PE = np.fft.fft(circulant_matrix(model.markov.astype(complex)), axis=0)
     PE = np.fft.ifft(PE, axis=1)
     diagonal = PE.diagonal().copy()
     PE.flat[:: n + 1] -= diagonal  # zeroes the diagonal in place: PE is now the off-diagonal part
@@ -155,7 +155,7 @@ def circulant_inverse(model: LiftedModel) -> np.ndarray:
     is circulant_matrix of the inverse DFT of their reciprocals, so it is circulant by
     construction, and read-only, so deleted models and laws can share it.
     """
-    eigs = np.fft.fft(model.toeplitz[:, 0])
+    eigs = np.fft.fft(model.markov)
     mags = np.abs(eigs)
     # fails closed: an all-zero or non-finite sequence marks every frequency bad
     bad = np.where(~(mags > _SINGULAR_RTOL * mags.max()))[0]
@@ -180,4 +180,4 @@ def delete_initial_steps(
     if q is None:
         q = unstable_zero_count(model.plant)
     check_integer(q, "q", least=0, below=model.horizon)
-    return DeletedModel(toeplitz=model.toeplitz[q:], circulant_inverse=_readonly(inverse[:, q:]))
+    return DeletedModel(model.toeplitz[q:], _readonly(inverse[:, q:], "inverse"))

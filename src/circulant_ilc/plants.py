@@ -38,9 +38,12 @@ class ContinuousPlant:
             raise ValueError("realization overflows: omega**2 or 2*zeta*omega is not finite")
 
 
-def _readonly(a):
-    """`a` as a float64 array marked read-only: `a` itself where neither
-    it nor any array it views is writable, else a read-only copy."""
+def _readonly(a, name):
+    """`a` as a float64 array marked read-only: `a` itself where neither it nor any
+    array it views is writable, else a read-only copy. A complex `a` raises ValueError
+    naming `name`: the cast would drop its imaginary part with only a warning."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got a complex array")
     view = np.asarray(a, dtype=float)
     owner = view
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -60,9 +63,9 @@ class _StateSpace:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _readonly(self.A))
-        object.__setattr__(self, "B", _readonly(np.reshape(self.B, (-1, 1))))
-        object.__setattr__(self, "C", _readonly(np.reshape(self.C, (1, -1))))
+        object.__setattr__(self, "A", _readonly(self.A, "A"))
+        object.__setattr__(self, "B", _readonly(np.reshape(self.B, (-1, 1)), "B"))
+        object.__setattr__(self, "C", _readonly(np.reshape(self.C, (1, -1)), "C"))
 
     @property
     def order(self):

@@ -3,12 +3,13 @@ an array of them.
 
 A count must be an integer of at least its bound (and, for a deletion count,
 below the horizon); a real number must be finite and, where it has a bound, above
-it; an array must hold integers or floats, each finite. Each entry point raises
-ValueError with the parameter's name first, then the rule, in the words the CLI
-prints after a field, and shows a rejected number the one way `errors.shown`
-does: its repr up to 20 characters, else cut. A count it accepts, a numpy integer
-too, it keeps as given; a finite real above its bound, a numpy float too, it
-accepts. Each rule's text is written only in errors.py.
+it; an array must hold integers or floats, each finite, and an array a record
+holds read-only must not be complex. Each entry point raises ValueError with the
+parameter's name first, then the rule, in the words the CLI prints after a field,
+and shows a rejected number the one way `errors.shown` does: its repr up to 20
+characters, else cut. A count it accepts, a numpy integer too, it keeps as given;
+a finite real above its bound, a numpy float too, it accepts. Each rule's text
+but the complex one (plants._readonly) is written only in errors.py.
 """
 
 import re
@@ -22,6 +23,7 @@ import pytest
 from circulant_ilc import (
     ContinuousPlant,
     DiscretePlant,
+    LearningLaw,
     LiftedModel,
     OptimizerConfig,
     accelerated_law,
@@ -127,6 +129,18 @@ ARRAYS = [
     ("gain_sweep", "gain grid", 2, lambda b, v: gain_sweep(b.deleted(1), v)),
 ]
 
+# (entry point, parameter, the array's shape, call on the third-order bench and the array)
+# of the arrays a record holds read-only; a complex one used to lose its imaginary part
+# with only numpy's ComplexWarning: DiscretePlant(1j * np.eye(3), ...) held A = 0
+COMPLEX = [
+    ("DiscretePlant", "A", (3, 3), lambda b, v: DiscretePlant(v, b.plant.B, b.plant.C, 0.02)),
+    ("DiscretePlant", "B", (3, 1), lambda b, v: DiscretePlant(b.plant.A, v, b.plant.C, 0.02)),
+    ("DiscretePlant", "C", (1, 3), lambda b, v: DiscretePlant(b.plant.A, b.plant.B, v, 0.02)),
+    ("LearningLaw", "gain", (51, 50), lambda b, v: LearningLaw(v)),
+    ("LiftedModel", "markov", (51,), lambda b, v: LiftedModel(b.plant, v)),
+    ("delete_initial_steps", "inverse", (51, 51), lambda b, v: delete_initial_steps(b.model, v, 1)),
+]
+
 
 def _cases():
     for entry, name, least, call, _ in COUNTS:
@@ -149,8 +163,12 @@ def _cases():
         for value in (np.nan, np.inf, -np.inf, True, "3", 1j, None, 10**400):
             yield entry, repeated, value, f"{name} must be an array of finite numbers"
         yield entry, call, [0.5] * (size - 1) + [True], f"{name} must be an array of finite numbers"
+        # numpy's own "inhomogeneous shape" ValueError used to escape, naming no argument
+        yield entry, call, [[1.0], [1.0, 2.0]], f"{name} must be an array of finite numbers"
     yield ("gain_sweep", lambda b, v: gain_sweep(b.deleted(1), v), ["0.5", True],
            "gain grid must be an array of finite numbers")
+    for entry, name, shape, call in COMPLEX:
+        yield entry, call, np.full(shape, 1j), f"{name} must be real, got a complex array"
 
 
 CASES = list(_cases())

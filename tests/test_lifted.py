@@ -60,7 +60,7 @@ def recurse(plant, inputs, x0=None):
 def fake_model(markov):
     """LiftedModel wrapper around a raw Markov sequence (for inverse tests)."""
     plant = DiscretePlant(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), T)
-    return LiftedModel(plant=plant, toeplitz=toeplitz_matrix(np.asarray(markov, dtype=float)))
+    return LiftedModel(plant=plant, markov=markov)
 
 
 def test_toeplitz_integrator():
@@ -287,11 +287,11 @@ def test_delete_copies_what_its_caller_can_write(third):
     inverse = np.array(third.inverse)
     hidden = inverse.view()  # read-only itself, but it views a writable array
     hidden.flags.writeable = False
-    toeplitz = np.array(third.model.toeplitz)  # the model holds a copy of it
-    model = dataclasses.replace(third.model, toeplitz=toeplitz)
+    markov = np.array(third.model.markov)  # the model holds a copy of it
+    model = dataclasses.replace(third.model, markov=markov)
     deleted = [delete_initial_steps(model, inverse, 1), delete_initial_steps(model, hidden, 1)]
     inverse[:] = 0.0
-    toeplitz[:] = 0.0
+    markov[:] = 0.0
     for dm in deleted:
         assert not dm.toeplitz.flags.writeable and not dm.circulant_inverse.flags.writeable
         assert np.array_equal(dm.toeplitz, third.model.toeplitz[1:])
@@ -321,23 +321,32 @@ def test_property_default_deletion_is_unstable_zero_count(plant, n):
 
 
 def test_records_hold_only_what_their_arrays_cannot_give():
-    # the horizon, the Markov sequence, the circulant wrap, the free-response map
+    # the horizon, the Toeplitz map, the circulant wrap, the free-response map
     # and q are read from these
     fields = {
         record: [f.name for f in dataclasses.fields(record)] for record in (LiftedModel, DeletedModel)
     }
     assert fields == {
-        LiftedModel: ["plant", "toeplitz"],
+        LiftedModel: ["plant", "markov"],
         DeletedModel: ["toeplitz", "circulant_inverse"],
     }
 
 
 @pytest.mark.parametrize("n", [1, 51, 256])
-def test_a_built_model_holds_one_matrix(third, n):
-    # the circulant wrap used to be stored beside the Toeplitz map: 16 N^2 bytes
+def test_a_built_model_holds_one_matrix(third, n, monkeypatch):
+    # the map used to be stored, beside the circulant wrap (16 N^2 bytes) and later
+    # checked against a second map built for every model; now the Markov sequence
+    # is stored and the map formed from it on first read, once
+    formed = []
+    form = lambda col: formed.append(col) or toeplitz_matrix(col)
+    monkeypatch.setattr(lifted, "toeplitz_matrix", form)
     model = LiftedModel.build(third.plant, n)
-    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) == 8 * n * n
+    held = lambda: sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+    assert held() == 8 * n and formed == []
+    toeplitz = model.toeplitz
+    assert held() == 8 * n * n + 8 * n
+    assert model.toeplitz is toeplitz and len(formed) == 1 and formed[0] is model.markov
+    assert not toeplitz.flags.writeable
     circulant = model.circulant
     assert not circulant.flags.writeable and not np.shares_memory(circulant, model.toeplitz)
     assert np.array_equal(np.tril(circulant), model.toeplitz)
@@ -360,53 +369,58 @@ def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
             DeletedModel(toeplitz, inverse)
 
 
-def test_a_lifted_model_holds_the_toeplitz_matrix_of_its_first_column(third):
-    # a 3 x 5 map used to build, reading horizon 3 and a 3 x 3 circulant beside it
-    good = toeplitz_matrix(np.arange(1.0, 8.0))
-    moved, above, signed = np.array(good), np.array(good), np.array(good)
-    moved[4, 1] = good[5, 1]  # one entry of the third subdiagonal holds the fourth's value
-    above[0, 1] = 1.0
-    signed[0, 1] = -0.0  # equal in value, but the map is compared bit for bit
-    for toeplitz in [np.tril(np.arange(1.0, 16).reshape(3, 5)), moved, above, signed,
-                     good[:, :1], np.arange(3.0), np.zeros(0), np.zeros((0, 0)), np.zeros((3, 0))]:
+def test_a_lifted_model_holds_a_nonempty_markov_sequence(third):
+    # a 3 x 5 map used to build, reading horizon 3 and a 3 x 3 circulant beside it;
+    # the sequence that replaced the map must be 1-D, and a NaN or inf in it passes
+    # to circulant_inverse, which rejects it
+    maps = [np.tril(np.arange(1.0, 16).reshape(3, 5)), toeplitz_matrix(np.arange(1.0, 8))]
+    for markov in [*maps, np.ones((7, 1)), np.float64(1.0), np.zeros(0), np.zeros((0, 0)),
+                   np.zeros((3, 0))]:
         with pytest.raises(ValueError) as caught:
-            LiftedModel(third.plant, toeplitz)
+            LiftedModel(third.plant, markov)
         assert str(caught.value) == (
-            "lifted model needs toeplitz, the N x N lower-triangular Toeplitz matrix of its "
-            f"first column, got shape {np.shape(toeplitz)}"
+            f"markov must be a nonempty 1-D array, got shape {np.shape(markov)}"
         )
+    for value in (np.nan, np.inf):
+        assert LiftedModel(third.plant, [value, 0.0]).horizon == 2
 
 
-def test_a_lifted_model_shares_a_read_only_map_and_copies_a_writable_one(third):
-    assert LiftedModel(third.plant, third.model.toeplitz).toeplitz is third.model.toeplitz
-    writable = np.array(third.model.toeplitz)
+def test_a_lifted_model_shares_a_read_only_sequence_and_copies_a_writable_one(third):
+    assert LiftedModel(third.plant, third.model.markov).markov is third.model.markov
+    writable = np.array(third.model.markov)
     hidden = writable.view()  # read-only itself, but it views a writable array
     hidden.flags.writeable = False
-    for given in (writable, hidden):
-        held = LiftedModel(third.plant, given).toeplitz
-        assert not held.flags.writeable and not np.shares_memory(held, writable)
-        assert held.tobytes() == writable.tobytes()
+    for given in (writable, hidden, writable.tolist()):
+        model = LiftedModel(third.plant, given)
+        assert not model.markov.flags.writeable and not np.shares_memory(model.markov, writable)
+        assert model.markov.tobytes() == writable.tobytes()
+        assert model.toeplitz.tobytes() == third.model.toeplitz.tobytes()
 
 
 def test_each_lifted_matrix_is_formed_only_by_its_builder():
-    # _circulant, LiftedModel.build and the two public builders each formed them
-    form = re.compile(r"sliding_window_view\(|np\.tril\(")
+    # _circulant, LiftedModel.build and the two public builders each formed them, and
+    # toeplitz_matrix formed a circulant to take its np.tril; each builder now takes
+    # one window of the reversed sequence
+    window = re.compile(r"sliding_window_view\(")
     home = Path(lifted.__file__)
+    source = home.read_text(encoding="utf-8")
     builders = {
-        number
-        for node in ast.parse(home.read_text(encoding="utf-8")).body
+        node.name: range(node.lineno, node.end_lineno + 1)
+        for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef)
         and node.name in ("circulant_matrix", "toeplitz_matrix")
-        for number in range(node.lineno, node.end_lineno + 1)
     }
+    lines = source.splitlines()
+    for name, numbers in builders.items():
+        assert sum(len(window.findall(lines[number - 1])) for number in numbers) == 1, name
+    inside = {number for numbers in builders.values() for number in numbers}
     elsewhere = [
         f"{layer.name}:{number}: {line.strip()}"
         for layer in sorted(home.parent.glob("*.py"))
         for number, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), 1)
-        if form.search(line) and not (layer == home and number in builders)
+        if "np.tril(" in line or window.search(line) and not (layer == home and number in inside)
     ]
     assert elsewhere == []
-    assert len(form.findall(home.read_text(encoding="utf-8"))) == 2
 
 
 @PROPERTY
