@@ -86,14 +86,15 @@ class ExperimentConfig:
 
     # a config file may also give an inline plant spec dict
     plant: object = _setting("third_order", "preset name (third_order, fourth_order, fifth_order) or plant spec JSON file")
-    n: int = _setting(51, "horizon length in steps", least=1)
-    sample_hz: float = _setting(50.0, "sample rate in Hz", flag="--hz", least=0.0)
+    n: int = _setting(Preset.horizon, "horizon length in steps", least=1)
+    sample_hz: float = _setting(Preset.sample_hz, "sample rate in Hz", flag="--hz", least=0.0)
     q: int | None = _setting(None, "deleted initial steps (analyze defaults to 0, other commands to the plant default)")
     law: str = _setting("inverse_circulant", "learning law kind", choices=tuple(_LAWS))
     power: int = _setting(1, "propagation-matrix power / accelerated-law power (simulate --traj worst_case: the power when above 1, else the paper's 6)", least=1)
     phi: float = _setting(1.0, "overall gain for the scaled law")
     law_gain: float = _setting(1.0, "contraction-mapping gain")
     law_weight: float = _setting(1.0, "quadratic-cost weight", least=0.0)
+    # OptimizerConfig's defaults stay literals: reading them would load optimizer for every command
     opt_weight: float = _setting(0.1, "descent weight factor", least=0.0)
     opt_iterations: int | None = _setting(None, "descent iterations", least=1)  # None: the plant's
     region_size: int = _setting(5, "corner block size for adjusted gains (presets that re-pick their region adjust as many positions)", least=1)
@@ -133,10 +134,9 @@ def _read_json(field, source):
     """The JSON value in file `source`; an unreadable or invalid file is a ConfigError."""
     try:
         return json.loads(Path(source).read_text(encoding="utf-8"))
-    except OSError as exc:  # its text repeats the path, so only strerror is kept
-        raise ConfigError(field, f"cannot read JSON from {shown(source)}: {exc.strerror}") from None
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise ConfigError(field, f"cannot read JSON from {shown(source)}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
+        reason = getattr(exc, "strerror", exc)  # an OSError's text repeats the path
+        raise ConfigError(field, f"cannot read JSON from {shown(source)}: {reason}") from None
 
 
 def _resolve_plant(source) -> Preset:
@@ -197,6 +197,11 @@ def _checked(name, call, *args):
         raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from None
 
 
+def _grid_steps(cfg: ExperimentConfig) -> float:
+    """The sweep grid's step count: its floor(count) + 1 points pass phi_max by at most 1e-9 step."""
+    return (cfg.phi_max - cfg.phi_min) / cfg.phi_step + 1e-9
+
+
 def _validate(cfg: ExperimentConfig):
     for f in fields(ExperimentConfig):
         value, least = getattr(cfg, f.name), f.metadata["least"]
@@ -211,9 +216,8 @@ def _validate(cfg: ExperimentConfig):
     _checked("sample_hz", check_real, 1.0 / cfg.sample_hz, "period")
     if cfg.phi_max < cfg.phi_min:
         raise ConfigError("phi_max", "must not be below phi_min")
-    steps = (cfg.phi_max - cfg.phi_min) / cfg.phi_step
-    if steps > _MAX_SWEEP_POINTS - 1:
-        raise ConfigError("phi_step", f"{steps:.3g} grid steps exceed {_MAX_SWEEP_POINTS} points")
+    if not (steps := _grid_steps(cfg)) < _MAX_SWEEP_POINTS:  # inf fails too; np.floor keeps it
+        raise ConfigError("phi_step", f"{np.floor(steps) + 1:.6g} grid points exceed {_MAX_SWEEP_POINTS}")
     # the largest value whose arrays fit: n^2, 2 (iterations + 1) n or opt_iterations + 1 entries
     for name, value, limit in (
         ("n", cfg.n, math.isqrt(_MAX_ENTRIES)),
@@ -358,9 +362,7 @@ def cmd_compare(ws: _Workspace):
 
 def cmd_sweep(ws: _Workspace):
     cfg = ws.cfg
-    # 1e-9 of a step absorbs the quotient's rounding: no point passes phi_max by more
-    count = math.floor((cfg.phi_max - cfg.phi_min) / cfg.phi_step + 1e-9)
-    grid = cfg.phi_min + cfg.phi_step * np.arange(count + 1)
+    grid = cfg.phi_min + cfg.phi_step * np.arange(math.floor(_grid_steps(cfg)) + 1)
     sweep = ilc.gain_sweep(ws.deleted, grid)
     write_rows(
         ws.out / "sweep.csv",

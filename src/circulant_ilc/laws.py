@@ -126,7 +126,7 @@ def error_propagation(p_matrix: np.ndarray, law, out=None) -> np.ndarray:
         raise ValueError(
             f"gain shape {gain.shape} incompatible with plant matrix {p_matrix.shape}"
         )
-    return _identity_minus(p_matrix @ gain if out is None else np.matmul(p_matrix, gain, out=out))
+    return _identity_minus(np.matmul(p_matrix, gain, out=out))
 
 
 def _identity_minus(x: np.ndarray) -> np.ndarray:

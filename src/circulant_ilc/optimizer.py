@@ -91,6 +91,12 @@ def _spectral_radii(maps: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvals(maps)), axis=-1)
 
 
+def _gradient_factors(p_matrix: np.ndarray, U: np.ndarray, s: np.ndarray, Vt: np.ndarray):
+    """sigma_1's gradient as its rank-one factors (-P^T u_1, v_1); a degenerate sigma_1 raises."""
+    _check_gap(s)
+    return -(p_matrix.T @ U[:, 0]), Vt[0]
+
+
 def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Derivative of the largest singular value sigma_1 of I - P L with respect
     to every gain entry.
@@ -99,9 +105,7 @@ def sensitivity_matrix(p_matrix: np.ndarray, gain: np.ndarray) -> np.ndarray:
     so the derivative is -u_1^T P e_i e_j^T v_1: the rank-one outer product
     -(P^T u_1) v_1^T, unchanged when u_1 and v_1 flip sign together.
     """
-    U, s, Vt = np.linalg.svd(error_propagation(p_matrix, gain))
-    _check_gap(s)
-    return -np.outer(p_matrix.T @ U[:, 0], Vt[0, :])
+    return np.outer(*_gradient_factors(p_matrix, *np.linalg.svd(error_propagation(p_matrix, gain))))
 
 
 def sensitivity_map(deleted: DeletedModel) -> SensitivityMap:
@@ -179,14 +183,13 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
         if it == config.iterations:
             break
         try:
-            _check_gap(s)
+            left, right = _gradient_factors(P, U, s, Vt)
         except DegenerateSingularValueError as exc:
             diagnostic = exc
             break
-        grad = -np.outer(P.T @ U[:, 0], Vt[0])
         if config.reselect_region:
-            rows, cols = _top_positions(grad, rows.size)
-        L[rows, cols] += descent_step(s[0], grad[rows, cols], config.weight)
+            rows, cols = _top_positions(np.outer(left, right), rows.size)
+        L[rows, cols] += descent_step(s[0], left[rows] * right[cols], config.weight)
 
     done = it + 1
     if pending := done % len(block):  # the maps since the last full block

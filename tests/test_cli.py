@@ -472,9 +472,16 @@ def test_sweep_grid_is_bounded(tmp_path, capsys):
     # a 1e18-point grid used to end in an allocation error
     assert run(["sweep", "--phi-max", 1e9, "--phi-step", 1e-9, "--out", tmp_path]) == 2
     assert "phi_step" in capsys.readouterr().err
-    assert build_config(None, {"phi_min": 0, "phi_max": 99_999, "phi_step": 1}).phi_max == 99_999
-    with pytest.raises(ConfigError, match="phi_step"):
+    # the bound counts the floor(steps) + 1 points the sweep builds, from the one count in
+    # _grid_steps: 0..99999.5 is exactly 10^5 of them
+    assert Path(cli_module.__file__).read_text(encoding="utf-8").count("/ cfg.phi_step") == 1
+    for phi_max in (99_999, 99_999.5):
+        assert build_config(None, {"phi_min": 0, "phi_max": phi_max, "phi_step": 1}).phi_max == phi_max
+    with pytest.raises(ConfigError, match="^phi_step: 100001 grid points exceed 100000$"):
         build_config(None, {"phi_min": 0, "phi_max": 100_000, "phi_step": 1})
+    # a subnormal step's count overflows to inf, which is refused too
+    assert run(["sweep", "--phi-step", 1e-310, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "configuration error: phi_step: inf grid points exceed 100000\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ is its loop with one eigvals call per iteration.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ def test_sensitivity_map_flags_edge_columns(benches, name, q):
     middle = set(range(ncols // 3, 2 * ncols // 3))
     assert len(surface.flagged_columns) > 0
     assert not middle & set(surface.flagged_columns.tolist())
+
+
+@pytest.mark.parametrize("reselect", [False, True], ids=["fixed", "reselected"])
+@pytest.mark.parametrize("name, q", [("third_order", 1), ("fifth_order", 2)])
+def test_descent_steps_on_the_sensitivity_surface(benches, monkeypatch, name, q, reselect):
+    # optimize steps on the gradient's factor pair at its region's positions: the
+    # entries of sensitivity_matrix there, bit for bit
+    dm = benches[name].deleted(q)
+    seen, step = [], optimizer.descent_step
+    monkeypatch.setattr(optimizer, "descent_step", lambda *args: seen.append(args[1]) or step(*args))
+    optimize(dm, OptimizerConfig(iterations=1, reselect_region=reselect))
+    surface = sensitivity_matrix(dm.toeplitz, dm.circulant_inverse)
+    rows, cols = _corner_positions(surface.shape, 5)
+    if reselect:
+        rows, cols = optimizer._top_positions(surface, rows.size)
+    assert seen[0].tobytes() == surface[rows, cols].tobytes()
+
+
+def test_the_sigma_1_gradient_is_written_once():
+    # sensitivity_matrix and optimize both take it from _gradient_factors
+    layers = Path(optimizer.__file__).parent.glob("*.py")
+    assert sum(layer.read_text(encoding="utf-8").count(".T @ U[:, 0]") for layer in layers) == 1
 
 
 def test_descent_step_zero_sensitivity_is_stationary():
