@@ -324,9 +324,7 @@ def cmd_simulate(ws: _Workspace):
             kind, law = cfg.law, _LAWS[cfg.law](ws)
             traj = ilc.make_trajectory(cfg.traj, ws.model.plant, cfg.n)
             result = ilc.run_ilc(ws.model, law, traj, cfg.iterations)
-    except NumericalDegeneracyError as exc:
-        if exc.result is None:  # the law broke down before any run
-            raise
+    except ilc.DivergedRunError as exc:  # the one error that carries a run's record
         diverged, result = exc, exc.result
     write_rows(
         ws.out / "rms.csv",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteGainError, NumericalDegeneracyError, real_array
-from .laws import _identity_minus
+from .laws import identity_minus
 from .lifted import DeletedModel
 
 
@@ -28,7 +28,7 @@ class ConvergenceReport:
 
     @property
     def spectral_radius(self):
-        return float(self.eigenvalue_magnitudes[0]) if self.eigenvalue_magnitudes.size else 0.0
+        return float(self.eigenvalue_magnitudes[0])
 
     @property
     def converges(self):
@@ -36,7 +36,7 @@ class ConvergenceReport:
 
     @property
     def monotonic(self):
-        return self.sigma_max < 1.0 if self.singular_values.size else True
+        return self.sigma_max < 1.0
 
 
 def _sorted_magnitudes(values):
@@ -73,8 +73,8 @@ def analyze(matrix: np.ndarray) -> ConvergenceReport:
     NumericalDegeneracyError.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("error propagation matrix must be square")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValueError("error propagation matrix must be square and nonempty")
     if not np.isfinite(matrix).all():
         raise NumericalDegeneracyError("error propagation matrix has a non-finite entry")
     n = matrix.shape[0]
@@ -380,7 +380,7 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
     core = None
     if 2 * _CORE_WIDTH < n:  # else Z would leave no complement
         np.copyto(G, base)
-        core = _low_rank_core(_identity_minus(G), work)  # E = I - B, in G
+        core = _low_rank_core(identity_minus(G), work)  # E = I - B, in G
     sigma = np.empty(gains.size)
     rho = np.empty(gains.size)
     x = np.ones(n)
@@ -402,14 +402,14 @@ def gain_sweep(deleted: DeletedModel, gains) -> GainSweep:
             G.reshape(-1)[:: n + 1] += 1.0
             theta, x = _top_rayleigh(G, x)
             if reach * reach > _PAIR_GROWTH * theta:
-                A = _identity_minus(np.multiply(base, phi, out=work))
+                A = identity_minus(np.multiply(base, phi, out=work))
                 np.matmul(A.T, A, out=G)
                 theta, x = _top_rayleigh(G, x)
             top = np.sqrt(max(_certified(G, theta, work), 0.0))
         sigma[i] = top
         radius = _closed_form_radius(np.abs(1.0 - phi * mu), scale * reach)
         if radius is None:
-            A = _identity_minus(np.multiply(base, phi, out=work))  # _certified overwrote work
+            A = identity_minus(np.multiply(base, phi, out=work))  # _certified overwrote work
             radius = np.max(np.abs(np.linalg.eigvals(A)))
         rho[i] = radius
     return GainSweep(gains=gains, sigma_max=sigma, spectral_radius=rho)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its checks of a count, of a real
-number and of an array of them: each raises ValueError "<name> <rule>", which the CLI
-prints as "<name>: <rule>", and shows a rejected number through `shown`."""
+"""Exception types shared across the package, its checks of a count, of a real number
+and of an array of them, and the one way a record holds an array (`readonly`): each
+check raises ValueError "<name> <rule>", which the CLI prints as "<name>: <rule>", and
+shows a rejected number through `shown`."""
 
 import sys
 from numbers import Integral, Real
@@ -59,6 +60,26 @@ def real_array(value, name):
     raise ValueError(rule)
 
 
+def readonly(a, name):
+    """`a` as a float64 array marked read-only, as every record holds an array: `a` itself
+    where neither it nor any array it views is writable, else a read-only copy (order K:
+    a Fortran-ordered input stays so). A complex `a` raises ValueError naming `name`: the
+    cast would drop its imaginary part with only a warning."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got a complex array")
+    view = owner = np.asarray(a, dtype=float)
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    return view if owner is None else frozen(np.array(view))
+
+
+def frozen(a):
+    """Mark `a`, an array that no caller holds, read-only and return it: `readonly`
+    then shares it, and so does every view of it."""
+    a.flags.writeable = False
+    return a
+
+
 def _in_float_range(value):
     """|value| <= the largest float, an int compared exactly and any other real as a
     Python float: numpy would cast the bound down to a float32's own type, where it is inf."""
@@ -81,10 +102,7 @@ class NumericalDegeneracyError(Exception):
 
     Each subclass keeps a builtin second parent (RuntimeError, ArithmeticError
     or ValueError), so an except clause written for that builtin still matches.
-    result: the record a learning run made before it broke down, else None.
     """
-
-    result = None
 
 
 class IllConditionedCirculantError(NumericalDegeneracyError, RuntimeError):

@@ -4,9 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientPlantError, check_integer, check_real
+from .errors import RankDeficientPlantError, check_integer, check_real, frozen, readonly
 from .lifted import DeletedModel
-from .plants import _readonly
 
 
 @dataclass(frozen=True)
@@ -15,14 +14,13 @@ class LearningLaw:
 
     For deletion count q the gain is N x (N-q): it consumes the error at the
     surviving steps and updates the full input history, so q is read from its
-    shape. A float64 gain that is read-only all the way down (a DeletedModel's,
-    say) is shared, any other copied.
+    shape. The gain is held as an errors.readonly array: a DeletedModel's is shared.
     """
 
     gain: np.ndarray
 
     def __post_init__(self):
-        gain = _readonly(self.gain, "gain")
+        gain = readonly(self.gain, "gain")
         if gain.ndim != 2 or gain.shape[0] < gain.shape[1]:
             raise ValueError(f"gain must be an N x (N-q) matrix with q >= 0, got shape {gain.shape}")
         object.__setattr__(self, "gain", gain)
@@ -30,13 +28,6 @@ class LearningLaw:
     @property
     def q(self):
         return self.gain.shape[0] - self.gain.shape[1]
-
-
-def _owned(gain: np.ndarray) -> np.ndarray:
-    """Mark a gain that a constructor made, and no caller holds, read-only, so
-    LearningLaw keeps it instead of copying it."""
-    gain.flags.writeable = False
-    return gain
 
 
 def signed_svd(matrix: np.ndarray):
@@ -63,7 +54,7 @@ def inverse_circulant_law(deleted: DeletedModel) -> LearningLaw:
 def scaled_inverse_circulant_law(deleted: DeletedModel, overall_gain: float) -> LearningLaw:
     """Deleted inverse circulant scaled by a single overall gain."""
     check_real(overall_gain, "overall_gain")
-    return LearningLaw(_owned(overall_gain * deleted.circulant_inverse))
+    return LearningLaw(frozen(overall_gain * deleted.circulant_inverse))
 
 
 def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
@@ -88,7 +79,7 @@ def accelerated_law(deleted: DeletedModel, power: int) -> LearningLaw:
             total = np.add(prod := E @ total, eye, out=prod)
         if i + 1 < len(bits):
             E_m = E_m @ E_m if bit == "0" else E @ (E_m @ E_m)
-    return LearningLaw(_owned(C @ total))
+    return LearningLaw(frozen(C @ total))
 
 
 def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
@@ -96,13 +87,13 @@ def partial_isometry_law(p_matrix: np.ndarray) -> LearningLaw:
     U, s, Vt = np.linalg.svd(p_matrix, full_matrices=False)
     if s[-1] <= p_matrix.shape[0] * np.finfo(float).eps * s[0]:
         raise RankDeficientPlantError("plant matrix is rank deficient; partial isometry undefined")
-    return LearningLaw(_owned(Vt.T @ U.T))
+    return LearningLaw(frozen(Vt.T @ U.T))
 
 
 def contraction_mapping_law(p_matrix: np.ndarray, gain: float = 1.0) -> LearningLaw:
     """Scaled transpose of the plant matrix."""
     check_real(gain, "gain")
-    return LearningLaw(_owned(gain * p_matrix.T))
+    return LearningLaw(frozen(gain * p_matrix.T))
 
 
 def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw:
@@ -114,7 +105,7 @@ def quadratic_cost_law(p_matrix: np.ndarray, weight: float = 1.0) -> LearningLaw
     system = p_matrix.T @ p_matrix
     system += 0.0
     system.flat[:: cols + 1] += weight
-    return LearningLaw(_owned(np.linalg.solve(system, p_matrix.T)))
+    return LearningLaw(frozen(np.linalg.solve(system, p_matrix.T)))
 
 
 def error_propagation(p_matrix: np.ndarray, law, out=None) -> np.ndarray:
@@ -126,10 +117,10 @@ def error_propagation(p_matrix: np.ndarray, law, out=None) -> np.ndarray:
         raise ValueError(
             f"gain shape {gain.shape} incompatible with plant matrix {p_matrix.shape}"
         )
-    return _identity_minus(np.matmul(p_matrix, gain, out=out))
+    return identity_minus(np.matmul(p_matrix, gain, out=out))
 
 
-def _identity_minus(x: np.ndarray) -> np.ndarray:
+def identity_minus(x: np.ndarray) -> np.ndarray:
     """I - x for a square x, written over x: 0.0 - x everywhere, then + 1.0 on
     the diagonal. That is np.eye(n) - x bit for bit: 0.0 - 0.0 is +0.0 where
     np.negative gives -0.0, and (0.0 - x) + 1.0 rounds as 1.0 - x does."""

@@ -8,8 +8,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedCirculantError, NumericalDegeneracyError, check_integer
+from .errors import frozen, readonly
 from .plants import DiscretePlant, frequency_response, markov_parameters, unstable_zero_count
-from .plants import _readonly
 
 # Tolerances fixed by the module contract.
 _SINGULAR_RTOL = 1e-12     # circulant eigenvalue magnitude, relative to the largest
@@ -20,18 +20,14 @@ def circulant_matrix(col: np.ndarray) -> np.ndarray:
     """Read-only circulant matrix with first column `col`, entry (i, j) a bitwise copy of
     col[(i - j) mod n]: row i is the window of reversed `col`, wrapped once, from n - 1 - i."""
     r = col[::-1]
-    circulant = sliding_window_view(np.concatenate((r, r[:-1])), col.size)[::-1].copy()
-    circulant.flags.writeable = False
-    return circulant
+    return frozen(sliding_window_view(np.concatenate((r, r[:-1])), col.size)[::-1].copy())
 
 
 def toeplitz_matrix(col: np.ndarray) -> np.ndarray:
     """Read-only circulant_matrix(col) with zeros for its wrap: the windows of reversed `col`
     padded with n - 1 zeros. Of the Markov sequence it is the input-to-output history map: row k
     of its product with u is y(k+1) of the recursion from x(0) = 0 (the one-step delay)."""
-    toeplitz = sliding_window_view(np.pad(col[::-1], (0, col.size - 1)), col.size)[::-1].copy()
-    toeplitz.flags.writeable = False
-    return toeplitz
+    return frozen(sliding_window_view(np.pad(col[::-1], (0, col.size - 1)), col.size)[::-1].copy())
 
 
 def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
@@ -46,15 +42,15 @@ def step_observability(plant: DiscretePlant, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedModel:
-    """Finite-horizon matrices of a sampled plant, held as its Markov sequence (read-only: shared
-    if no array under it is writable, else copied; a NaN or inf passes to circulant_inverse): the
-    Toeplitz map is formed on first read and kept, the circulant wrap rebuilt where it is read."""
+    """Finite-horizon matrices of a sampled plant, held as its Markov sequence (errors.readonly;
+    a NaN or inf passes to circulant_inverse): the Toeplitz map is formed on first read and
+    kept, the circulant wrap rebuilt where it is read."""
 
     plant: DiscretePlant
     markov: np.ndarray
 
     def __post_init__(self):
-        markov = _readonly(self.markov, "markov")
+        markov = readonly(self.markov, "markov")
         if markov.ndim != 1 or not markov.size:
             raise ValueError(f"markov must be a nonempty 1-D array, got shape {markov.shape}")
         object.__setattr__(self, "markov", markov)
@@ -75,7 +71,7 @@ class LiftedModel:
     @classmethod
     def build(cls, plant: DiscretePlant, horizon: int) -> "LiftedModel":
         check_integer(horizon, "horizon", least=1)
-        return cls(plant=plant, markov=markov_parameters(plant, horizon))
+        return cls(plant=plant, markov=frozen(markov_parameters(plant, horizon)))
 
 
 @dataclass(frozen=True)
@@ -85,15 +81,17 @@ class DeletedModel:
     toeplitz: rows q+1..N of the full Toeplitz map; its shape (N-q, N) gives q.
     circulant_inverse: columns q+1..N of the inverse circulant, shape (N, N-q).
 
-    Both are read-only: toeplitz a view of the model's map, circulant_inverse a view
-    of an inverse read-only all the way down (circulant_inverse's), else a copy.
+    Both are held as errors.readonly arrays: delete_initial_steps passes views of
+    the model's map and of circulant_inverse's inverse, which are shared.
     """
 
     toeplitz: np.ndarray
     circulant_inverse: np.ndarray
 
     def __post_init__(self):
-        shape, other = np.shape(self.toeplitz), np.shape(self.circulant_inverse)
+        for name in ("toeplitz", "circulant_inverse"):
+            object.__setattr__(self, name, readonly(getattr(self, name), name))
+        shape, other = self.toeplitz.shape, self.circulant_inverse.shape
         if len(shape) != 2 or other != shape[::-1] or shape[0] > shape[1]:
             raise ValueError(
                 "deleted model needs toeplitz (N-q, N) and circulant_inverse (N, N-q) "
@@ -180,4 +178,4 @@ def delete_initial_steps(
     if q is None:
         q = unstable_zero_count(model.plant)
     check_integer(q, "q", least=0, below=model.horizon)
-    return DeletedModel(model.toeplitz[q:], _readonly(inverse[:, q:], "inverse"))
+    return DeletedModel(model.toeplitz[q:], readonly(inverse[:, q:], "inverse"))

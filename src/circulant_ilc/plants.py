@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSamplingError, check_integer, check_real
+from .errors import NonFiniteSamplingError, check_integer, check_real, readonly
 
 
 @dataclass(frozen=True)
@@ -38,34 +38,23 @@ class ContinuousPlant:
             raise ValueError("realization overflows: omega**2 or 2*zeta*omega is not finite")
 
 
-def _readonly(a, name):
-    """`a` as a float64 array marked read-only: `a` itself where neither it nor any
-    array it views is writable, else a read-only copy. A complex `a` raises ValueError
-    naming `name`: the cast would drop its imaginary part with only a warning."""
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be real, got a complex array")
-    view = np.asarray(a, dtype=float)
-    owner = view
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is not None:
-        view = np.array(view)  # order K: a Fortran-ordered input stays so
-        view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True)
 class _StateSpace:
-    """A state-space triple held as read-only arrays: B a column, C a row."""
+    """A state-space triple held as errors.readonly arrays: A square, B a column and C a
+    row of its order."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _readonly(self.A, "A"))
-        object.__setattr__(self, "B", _readonly(np.reshape(self.B, (-1, 1)), "B"))
-        object.__setattr__(self, "C", _readonly(np.reshape(self.C, (1, -1)), "C"))
+        object.__setattr__(self, "A", readonly(self.A, "A"))
+        object.__setattr__(self, "B", readonly(np.reshape(self.B, (-1, 1)), "B"))
+        object.__setattr__(self, "C", readonly(np.reshape(self.C, (1, -1)), "C"))
+        A, B, C = self.A, self.B, self.C
+        if A.ndim != 2 or not A.shape[0] == A.shape[1] == B.size == C.size:
+            raise ValueError(f"A must be square and B, C of its order, got shapes {A.shape}, "
+                             f"{B.shape} and {C.shape}")
 
     @property
     def order(self):

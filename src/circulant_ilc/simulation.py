@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedRunError, check_integer, real_array
+from .errors import DivergedRunError, check_integer, frozen, real_array
 from .laws import LearningLaw, error_propagation, signed_svd
 from .lifted import LiftedModel, step_observability
 from .plants import DiscretePlant
@@ -40,9 +40,7 @@ def make_trajectory(label: str, plant: DiscretePlant, horizon: int) -> np.ndarra
     if label not in _BENCHMARKS:
         raise ValueError(f"unknown trajectory {label!r}; pick one of {sorted(_BENCHMARKS)}")
     check_integer(horizon, "horizon", least=1)
-    samples = _BENCHMARKS[label](np.arange(1, horizon + 1) * plant.period)
-    samples.flags.writeable = False  # and so is every view of it
-    return samples.view(_Samples)
+    return frozen(_BENCHMARKS[label](np.arange(1, horizon + 1) * plant.period)).view(_Samples)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,13 @@ def test_analyze_zero_matrix():
     assert report.converges and report.monotonic
 
 
-def test_analyze_rejects_nonsquare():
+@pytest.mark.parametrize("shape", [(3, 4), (0, 0)], ids=["nonsquare", "empty"])
+def test_analyze_rejects_nonsquare(shape):
     # by its own message: numpy's LinAlgError, which eigvals raises on a
-    # nonsquare matrix, is a ValueError too
+    # nonsquare matrix, is a ValueError too. The empty map used to return a report
+    # of spectral_radius 0.0 whose sigma_max raised IndexError
     with pytest.raises(ValueError, match="error propagation matrix must be square"):
-        analyze(np.zeros((3, 4)))
+        analyze(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -8,8 +8,9 @@ holds read-only must not be complex. Each entry point raises ValueError with the
 parameter's name first, then the rule, in the words the CLI prints after a field,
 and shows a rejected number the one way `errors.shown` does: its repr up to 20
 characters, else cut. A count it accepts, a numpy integer too, it keeps as given;
-a finite real above its bound, a numpy float too, it accepts. Each rule's text
-but the complex one (plants._readonly) is written only in errors.py.
+a finite real above its bound, a numpy float too, it accepts. Each rule's text is
+written only in errors.py, and so is the one way a record holds an array
+(errors.readonly, errors.frozen).
 """
 
 import re
@@ -22,6 +23,7 @@ import pytest
 
 from circulant_ilc import (
     ContinuousPlant,
+    DeletedModel,
     DiscretePlant,
     LearningLaw,
     LiftedModel,
@@ -139,6 +141,11 @@ COMPLEX = [
     ("LearningLaw", "gain", (51, 50), lambda b, v: LearningLaw(v)),
     ("LiftedModel", "markov", (51,), lambda b, v: LiftedModel(b.plant, v)),
     ("delete_initial_steps", "inverse", (51, 51), lambda b, v: delete_initial_steps(b.model, v, 1)),
+    # these two used to be held complex, and gain_sweep to cast them with a ComplexWarning
+    ("DeletedModel", "toeplitz", (50, 51),
+     lambda b, v: DeletedModel(v, b.deleted(1).circulant_inverse)),
+    ("DeletedModel", "circulant_inverse", (51, 50),
+     lambda b, v: DeletedModel(b.deleted(1).toeplitz, v)),
 ]
 
 
@@ -218,7 +225,8 @@ def test_an_array_holds_no_bool_wherever_it_sits():
 def test_each_rule_is_written_only_in_errors():
     # the API and the CLI both call errors.check_integer and errors.check_real
     rule = re.compile(
-        r"must be (at least|below|an integer|a finite number|an array of finite numbers|positive)"
+        r"must be (at least|below|an integer|a finite number|an array of finite numbers|positive"
+        r"|real)"
     )
     home = Path(errors.__file__)
     elsewhere = [
@@ -229,6 +237,31 @@ def test_each_rule_is_written_only_in_errors():
     ]
     assert elsewhere == []
     assert rule.search(home.read_text(encoding="utf-8"))
+
+
+def test_only_errors_marks_an_array_read_only():
+    # every other layer holds an array through errors.readonly or errors.frozen
+    home = Path(errors.__file__)
+    elsewhere = [
+        f"{layer.name}:{number}: {line.strip()}"
+        for layer in sorted(home.parent.glob("*.py")) if layer != home
+        for number, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), 1)
+        if ".flags.writeable = False" in line
+    ]
+    assert elsewhere == []
+
+
+def test_no_layer_imports_another_layers_private_name():
+    # lifted and laws used to import plants._readonly, convergence laws._identity_minus
+    private = re.compile(r"^\s*from \.\w+ import .*\b_\w+")
+    package = Path(errors.__file__).parent
+    found = [
+        f"{layer.name}:{number}: {line.strip()}"
+        for layer in sorted(package.glob("*.py"))
+        for number, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), 1)
+        if private.search(line)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

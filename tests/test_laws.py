@@ -1,6 +1,7 @@
 """Learning law construction and propagation-matrix algebra tests."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from circulant_ilc import (
     PRESETS,
-    DeletedModel,
     LearningLaw,
     LiftedModel,
     accelerated_law,
@@ -235,9 +235,11 @@ class _CountedMatrix(np.ndarray):
 def test_accelerated_law_products(third, power, products):
     # P Pc_inv, Pc_inv S_p, and S_p by doubling. The term-by-term sum took p - 1
     # products for S_p: 7 in all at p = 6, the power the worst-case experiment uses.
+    # a DeletedModel holds plain float64 arrays: the counting views reach the law on a stand-in
     dm = third.deleted(0)
-    counted = DeletedModel(
-        dm.toeplitz.view(_CountedMatrix), dm.circulant_inverse.view(_CountedMatrix)
+    counted = SimpleNamespace(
+        toeplitz=dm.toeplitz.view(_CountedMatrix),
+        circulant_inverse=dm.circulant_inverse.view(_CountedMatrix),
     )
     _CountedMatrix.products = 0
     accelerated_law(counted, power)

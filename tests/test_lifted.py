@@ -369,6 +369,34 @@ def test_a_deleted_model_cannot_state_a_q_its_shapes_contradict(third):
             DeletedModel(toeplitz, inverse)
 
 
+def test_a_deleted_model_holds_read_only_float64_arrays(third):
+    # it used to keep what it was given: a caller's later write showed through it, and
+    # a list was held as a list, on which gain_sweep raised a bare TypeError
+    dm = third.deleted(1)
+    toeplitz, inverse = np.array(dm.toeplitz), np.array(dm.circulant_inverse)
+    for built in (DeletedModel(toeplitz, inverse),
+                  DeletedModel(toeplitz.tolist(), inverse.astype(np.float32).tolist())):
+        for held, given in ((built.toeplitz, toeplitz), (built.circulant_inverse, inverse)):
+            assert type(held) is np.ndarray and held.dtype == np.float64
+            assert not held.flags.writeable and not np.shares_memory(held, given)
+    direct = DeletedModel(toeplitz, inverse)
+    toeplitz[0, 0] = inverse[0, 0] = 99.0
+    assert direct.toeplitz[0, 0] == dm.toeplitz[0, 0]
+    assert direct.circulant_inverse[0, 0] == dm.circulant_inverse[0, 0]
+    # delete_initial_steps passes read-only views, which the model shares
+    assert np.shares_memory(dm.toeplitz, third.model.toeplitz)
+    assert np.shares_memory(dm.circulant_inverse, third.inverse)
+    assert DeletedModel(dm.toeplitz, dm.circulant_inverse).toeplitz is dm.toeplitz
+
+
+def test_build_holds_the_markov_sequence_it_computes(third, monkeypatch):
+    computed = []
+    compute = lambda plant, count: computed.append(markov_parameters(plant, count)) or computed[-1]
+    monkeypatch.setattr(lifted, "markov_parameters", compute)
+    model = LiftedModel.build(third.plant, 51)
+    assert model.markov is computed[0] and not model.markov.flags.writeable
+
+
 def test_a_lifted_model_holds_a_nonempty_markov_sequence(third):
     # a 3 x 5 map used to build, reading horizon 3 and a 3 x 3 circulant beside it;
     # the sequence that replaced the map must be 1-D, and a NaN or inf in it passes

@@ -58,6 +58,28 @@ def test_state_space_stores_read_only_column_b_and_row_c(make):
     assert sys.A[0, 0] == 0.5
 
 
+@pytest.mark.parametrize(
+    "make",
+    [ContinuousStateSpace, lambda A, B, C: DiscretePlant(A, B, C, T)],
+    ids=["continuous", "discrete"],
+)
+@pytest.mark.parametrize(
+    "A, B, C, shapes",
+    [
+        # each used to build, and markov_parameters to end in numpy's unnamed matmul error
+        (np.ones((2, 3)), [1.0, 1.0], [1.0, 1.0], "(2, 3), (2, 1) and (1, 2)"),
+        (np.eye(2), [1.0, 1.0, 1.0], [1.0, 1.0], "(2, 2), (3, 1) and (1, 2)"),
+        (np.eye(2), [1.0, 1.0], [1.0], "(2, 2), (2, 1) and (1, 1)"),
+        (np.ones(2), [1.0, 1.0], [1.0, 1.0], "(2,), (2, 1) and (1, 2)"),
+    ],
+    ids=["wide_A", "long_B", "short_C", "flat_A"],
+)
+def test_state_space_rejects_shapes_that_do_not_chain(make, A, B, C, shapes):
+    with pytest.raises(ValueError) as caught:
+        make(A, B, C)
+    assert str(caught.value) == f"A must be square and B, C of its order, got shapes {shapes}"
+
+
 def test_plant_validation_rejects_bad_sections():
     with pytest.raises(ValueError):
         ContinuousPlant()
