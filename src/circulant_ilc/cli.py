@@ -294,11 +294,7 @@ def cmd_analyze(ws: _Workspace):
 def cmd_optimize(ws: _Workspace):
     cfg, kind = ws.cfg, "optimized_inverse_circulant"
     trace = _optimize(ws)
-    write_rows(
-        ws.out / "trace.csv",
-        ["iteration", "sigma_max", "spectral_radius"],
-        [(i, s, r) for i, (s, r) in enumerate(zip(trace.sigma, trace.rho))],
-    )
+    write_rows(ws.out / "trace.csv", ["iteration", "sigma_max"], enumerate(trace.sigma))
     tag = matrix_filename(f"law_{kind}", cfg.n, ws.deleted.q)
     write_matrix(ws.out / tag, trace.gain)
     params = {"weight": cfg.opt_weight, "iterations": cfg.opt_iterations}

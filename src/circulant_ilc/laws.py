@@ -13,8 +13,8 @@ class LearningLaw:
     """A gain matrix mapping an error history to an input-history update.
 
     For deletion count q the gain is N x (N-q): it consumes the error at the
-    surviving steps and updates the full input history, so q is read from its
-    shape. The gain is held as an errors.readonly array: a DeletedModel's is shared.
+    surviving steps and updates the full input history, so q, 0 <= q < N, is read
+    from its shape. The gain is held as an errors.readonly array: a DeletedModel's is shared.
     """
 
     gain: np.ndarray
@@ -24,6 +24,7 @@ class LearningLaw:
         if gain.ndim != 2 or gain.shape[0] < gain.shape[1]:
             raise ValueError(f"gain must be an N x (N-q) matrix with q >= 0, got shape {gain.shape}")
         object.__setattr__(self, "gain", gain)
+        check_integer(self.q, "q", below=gain.shape[0])
 
     @property
     def q(self):

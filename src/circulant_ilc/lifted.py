@@ -78,7 +78,7 @@ class LiftedModel:
 class DeletedModel:
     """Lifted model with the first q time steps removed from the learning objective.
 
-    toeplitz: rows q+1..N of the full Toeplitz map; its shape (N-q, N) gives q.
+    toeplitz: rows q+1..N of the full Toeplitz map; its shape (N-q, N) gives q, 0 <= q < N.
     circulant_inverse: columns q+1..N of the inverse circulant, shape (N, N-q).
 
     Both are held as errors.readonly arrays: delete_initial_steps passes views of
@@ -97,6 +97,7 @@ class DeletedModel:
                 "deleted model needs toeplitz (N-q, N) and circulant_inverse (N, N-q) "
                 f"with q >= 0, got {shape} and {other}"
             )
+        check_integer(self.q, "q", below=shape[1])
 
     @property
     def q(self):

@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSingularValueError, check_integer, check_real
+from .errors import DegenerateSingularValueError, check_integer, check_real, frozen
 from .laws import LearningLaw, error_propagation
 from .lifted import DeletedModel
 
 _GAP_RTOL = 1e-9          # singular value gap below this (relative to sigma_1) is degenerate
 _FLAG_FACTOR = 10.0       # column flagged when its peak sensitivity exceeds median by this
-_RHO_BLOCK_ENTRIES = 2**15  # entries of the maps whose rho one eigvals call takes: 13 at n = 50
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Per-iteration largest singular value and spectral radius, plus the result.
+    """Per-iteration largest singular value, the final spectral radius, and the result.
 
-    sigma/rho include the starting point, so a clean run has iterations + 1
-    entries. diagnostic holds the error when the run stopped early on a
-    degenerate sigma_1, and the traces are truncated at the stop.
+    sigma includes the starting point, so a clean run has iterations + 1 entries.
+    rho is a read-only float64 array of shape (1,): the spectral radius of the map
+    whose sigma_1 is sigma[-1], so rho[-1] pairs with sigma[-1]. diagnostic holds
+    the error when the run stopped early on a degenerate sigma_1, and sigma is
+    truncated at the stop.
     """
 
     sigma: np.ndarray
@@ -78,17 +79,6 @@ def _check_gap(s: np.ndarray):
     gap, scale = float(s[0] - lower), float(s[0])
     if gap <= _GAP_RTOL * scale:
         raise DegenerateSingularValueError(gap, scale)
-
-
-def _spectral_radii(maps: np.ndarray) -> np.ndarray:
-    """max |eigenvalue| of each map in a (k, n, n) stack from one eigvals call.
-
-    The stacked call runs the same LAPACK dgeev on each map as a call on that
-    map alone, paying numpy's per-call setup once, so every bit is the same:
-    a map with real eigenvalues gets them as x + 0j when another map's are
-    complex, and |x + 0j| is |x|.
-    """
-    return np.max(np.abs(np.linalg.eigvals(maps)), axis=-1)
 
 
 def _gradient_factors(p_matrix: np.ndarray, U: np.ndarray, s: np.ndarray, Vt: np.ndarray):
@@ -159,27 +149,19 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
     descent stalls above one, and it can settle into a period-two zigzag
     (the fifth-order corner blocks alternate near sigma_1 = 6.92).
 
-    rho never feeds back into the descent: each map I - P L is written into the
-    next slot of a block of at most 2**15 entries (of one map if a map is
-    larger), and one eigvals call takes the rho of every map in it once the
-    block is full or the descent ends.
+    rho never feeds back into the descent: one eigvals call takes it from the
+    map whose sigma_1 ends the trace, the final iterate's or the one that stopped it.
     """
     P = deleted.toeplitz
     L = deleted.circulant_inverse.copy()
     rows, cols = _corner_positions(L.shape, config.region_size)
 
-    n = P.shape[0]
-    block = np.empty((max(1, min(_RHO_BLOCK_ENTRIES // n**2, config.iterations + 1)), n, n))
+    E = np.empty((P.shape[0], P.shape[0]))
     sigma = np.empty(config.iterations + 1)
-    rho = np.empty(config.iterations + 1)
     diagnostic = None
     for it in range(config.iterations + 1):
-        slot = it % len(block)
-        E = error_propagation(P, L, out=block[slot])
-        U, s, Vt = np.linalg.svd(E)
+        U, s, Vt = np.linalg.svd(error_propagation(P, L, out=E))
         sigma[it] = s[0]
-        if slot == len(block) - 1:
-            rho[it - slot : it + 1] = _spectral_radii(block)
         if it == config.iterations:
             break
         try:
@@ -191,8 +173,5 @@ def optimize(deleted: DeletedModel, config: OptimizerConfig) -> OptimizationTrac
             rows, cols = _top_positions(np.outer(left, right), rows.size)
         L[rows, cols] += descent_step(s[0], left[rows] * right[cols], config.weight)
 
-    done = it + 1
-    if pending := done % len(block):  # the maps since the last full block
-        rho[done - pending : done] = _spectral_radii(block[:pending])
-    law = LearningLaw(L)
-    return OptimizationTrace(sigma=sigma[:done], rho=rho[:done], law=law, diagnostic=diagnostic)
+    rho = frozen(np.max(np.abs(np.linalg.eigvals(E)), keepdims=True))
+    return OptimizationTrace(sigma=sigma[: it + 1], rho=rho, law=LearningLaw(L), diagnostic=diagnostic)

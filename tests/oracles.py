@@ -67,18 +67,18 @@ def accelerated_gain_by_doubling(deleted, power):
 
 
 def serial_descent(deleted, config):
-    """optimize's loop with one error_propagation, svd and eigvals per iteration:
-    (sigma, rho, gain, diagnostic). It looks _check_gap up on the optimizer module
-    at each call, so a test's patch of it acts here too."""
+    """optimize's loop with a fresh error_propagation and svd per iteration, and one
+    eigvals of the last map formed: (sigma, rho of shape (1,), gain, diagnostic). It
+    looks _check_gap up on the optimizer module at each call, so a test's patch of it
+    acts here too."""
     P = deleted.toeplitz
     L = deleted.circulant_inverse.copy()
     rows, cols = optimizer._corner_positions(L.shape, config.region_size)
-    sigma, rho, diagnostic = [], [], None
+    sigma, diagnostic = [], None
     for it in range(config.iterations + 1):
         E = error_propagation(P, L)
         U, s, Vt = np.linalg.svd(E)
         sigma.append(s[0])
-        rho.append(np.max(np.abs(np.linalg.eigvals(E))))
         if it == config.iterations:
             break
         try:
@@ -90,4 +90,4 @@ def serial_descent(deleted, config):
         if config.reselect_region:
             rows, cols = optimizer._top_positions(grad, rows.size)
         L[rows, cols] += optimizer.descent_step(s[0], grad[rows, cols], config.weight)
-    return np.array(sigma), np.array(rho), L, diagnostic
+    return np.array(sigma), np.array([np.max(np.abs(np.linalg.eigvals(E)))]), L, diagnostic

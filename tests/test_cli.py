@@ -157,7 +157,7 @@ def test_analyze_sixth_power(tmp_path):
 def test_optimize_writes_trace_and_law(tmp_path, capsys):
     assert run(["optimize", "--opt-iterations", 5, "--out", tmp_path]) == 0
     header, rows = read_csv(tmp_path / "trace.csv")
-    assert header == ["iteration", "sigma_max", "spectral_radius"]
+    assert header == ["iteration", "sigma_max"]
     assert len(rows) == 6
     law = tmp_path / "law_optimized_inverse_circulant_N51_q1.csv"
     sidecar = json.loads((tmp_path / "law_optimized_inverse_circulant_N51_q1.json").read_text())
@@ -303,11 +303,13 @@ def test_compare_emits_four_law_columns(tmp_path):
     (["compare", "--opt-iterations", 5, "--iterations", 6], "compare.csv"),
 ])
 def test_printed_values_end_with_the_last_csv_row(tmp_path, capsys, command, table):
-    # what a command prints last is its final iteration, not an earlier one
+    # what a command prints last is its final iteration, not an earlier one; each
+    # column is matched by name: "sigma_max = v", "rms[6] = v", "quadratic_cost: rms[-1]=v"
     assert run([*command, "--out", tmp_path]) == 0
-    printed = re.findall(r"= ?(\S+)", capsys.readouterr().out)
+    printed = dict(re.findall(r"(\w+)(?:: rms)?(?:\[-?\d+\])? ?= ?(\S+)", capsys.readouterr().out))
     header, rows = read_csv(tmp_path / table)
-    assert printed[1 - len(header):] == rows[-1][1:]
+    named = {column: printed[column.removeprefix("rms_")] for column in header[1:]}
+    assert named == dict(zip(header[1:], rows[-1][1:]))
 
 
 def test_compare_keeps_one_run_of_histories_live(tmp_path):

@@ -193,6 +193,26 @@ def test_entry_point_names_the_rule_a_value_breaks(third, call, value, message):
     assert str(caught.value) == message
 
 
+# (record, its N, a call on the third-order bench that gives it q = N); each used to
+# build, and then optimize raised ZeroDivisionError, gain_sweep printed LAPACK's DGEEV
+# complaint and run_ilc reported a divergence at iteration 0
+Q_OF_N = [
+    ("DeletedModel", 5, lambda b: DeletedModel(np.zeros((0, 5)), np.zeros((5, 0)))),
+    ("DeletedModel", 51, lambda b: DeletedModel(b.model.toeplitz[51:], b.inverse[:, 51:])),
+    ("LearningLaw", 5, lambda b: LearningLaw(np.ones((5, 0)))),
+    ("LearningLaw", 51, lambda b: LearningLaw(b.inverse[:, 51:])),
+]
+
+
+@pytest.mark.parametrize("n, call", [case[1:] for case in Q_OF_N],
+                         ids=[f"{entry}-N{n}" for entry, n, _ in Q_OF_N])
+def test_a_record_refuses_a_q_of_n(third, n, call):
+    # the rule delete_initial_steps states: 0 <= q < N
+    with pytest.raises(ValueError) as caught:
+        call(third)
+    assert str(caught.value) == f"q must be below {n}"
+
+
 @pytest.mark.parametrize("entry, name, least, call, kept", COUNTS, ids=[c[0] for c in COUNTS])
 def test_counts_accept_a_numpy_integer_at_the_bound(third, entry, name, least, call, kept):
     for value in (np.int64(least), np.int32(least + 1)):  # and one above it

@@ -2,7 +2,7 @@
 
 The derivative oracle is a central finite difference of sigma_k through a
 full SVD; the step oracle is the dense regularized solve; the descent's oracle
-is its loop with one eigvals call per iteration.
+is its loop with a fresh map per iteration and one eigvals call of the last.
 """
 
 import tracemalloc
@@ -210,12 +210,12 @@ def test_optimize_trace_shape_and_progress(third):
     dm = third.deleted(1)
     trace = optimize(dm, OptimizerConfig(iterations=100))
     assert trace.sigma.shape == (101,)
-    assert trace.rho.shape == (101,)
+    assert trace.rho.shape == (1,)
     assert trace.diagnostic is None
     assert trace.law.q == 1
     # strict descent over the first hundred iterations (plateaus excepted)
     assert np.all(np.diff(trace.sigma) < 1e-12)
-    assert np.all(trace.rho <= trace.sigma + 1e-10)
+    assert trace.rho[-1] <= trace.sigma[-1] + 1e-10
 
 
 def test_optimize_only_touches_region_gains(third):
@@ -270,11 +270,6 @@ def test_optimize_benchmark_endpoint_neighborhoods(optimized):
     assert optimized[("fifth_order", 2)].rho[-1] <= 0.5
 
 
-def block_size(deleted):
-    """Maps per eigvals call in optimize's descent of this model."""
-    return max(1, optimizer._RHO_BLOCK_ENTRIES // deleted.toeplitz.shape[0] ** 2)
-
-
 def assert_matches_serial(deleted, config):
     sigma, rho, gain, diagnostic = serial_descent(deleted, config)
     trace = optimize(deleted, config)
@@ -288,32 +283,29 @@ def assert_matches_serial(deleted, config):
 
 
 @pytest.mark.parametrize("reselect", [False, True], ids=["fixed", "reselected"])
-@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)],
-                         ids=["k-1", "k", "k+1", "2k+3"])
-@pytest.mark.parametrize("q", [0, 1])
-def test_optimize_matches_the_serial_loop_around_a_block(third, q, blocks, extra, reselect):
-    # rho comes from one eigvals call per block of k maps, a last partial block included
+@pytest.mark.parametrize("q, iterations", [(0, 11), (0, 12), (0, 13), (0, 27),
+                                           (1, 12), (1, 13), (1, 14), (1, 29)])
+def test_optimize_matches_the_serial_loop(third, q, iterations, reselect):
+    # one reused map buffer and one eigvals call of the last map: the same bits as a
+    # fresh map per iteration
     dm = third.deleted(q)
-    k = block_size(dm)
-    assert k == (12, 13)[q]  # 2**15 entries of 51 x 51 and 50 x 50 maps
-    iterations = blocks * k + extra
     trace = assert_matches_serial(dm, OptimizerConfig(iterations=iterations, reselect_region=reselect))
-    assert trace.rho.shape == (iterations + 1,) and trace.diagnostic is None
+    assert trace.rho.shape == (1,) and trace.diagnostic is None
 
 
 @PROPERTY
 @given(sampled_plants(), st.integers(20, 64), st.data())
 def test_property_optimize_matches_the_serial_loop(plant, n, data):
-    # blocks of 128 down to 8 maps of n - q rows; half a block to three blocks
     model = LiftedModel.build(plant, n)
     try:
         inverse = circulant_inverse(model)
     except IllConditionedCirculantError:
         return
-    dm = delete_initial_steps(model, inverse, data.draw(st.integers(0, 4), label="q"))
-    k = block_size(dm)
+    q = data.draw(st.integers(0, 4), label="q")
+    dm = delete_initial_steps(model, inverse, q)
+    k = 2**15 // (n - q) ** 2  # 8 to 128: k // 2 to 3 k iterations, fewer for larger maps
     config = OptimizerConfig(
-        iterations=data.draw(st.integers(max(1, k // 2), 3 * k), label="iterations"),
+        iterations=data.draw(st.integers(k // 2, 3 * k), label="iterations"),
         reselect_region=data.draw(st.booleans(), label="reselect_region"),
     )
     with np.errstate(all="ignore"):  # a drawn plant may overflow; the loops must agree even so
@@ -321,10 +313,9 @@ def test_property_optimize_matches_the_serial_loop(plant, n, data):
 
 
 @pytest.mark.parametrize("stop", [5, 12, 20])
-def test_optimize_fills_rho_up_to_a_stop_inside_a_block(third, monkeypatch, stop):
-    # a degenerate sigma_1 found at iteration `stop` ends the trace mid-block
+def test_a_stopped_traces_rho_is_its_last_maps(third, monkeypatch, stop):
+    # a degenerate sigma_1 found at iteration `stop` ends the trace: rho is that map's
     dm = third.deleted(1)
-    assert stop % block_size(dm)
     calls = []
 
     def check_gap(s):
@@ -334,14 +325,23 @@ def test_optimize_fills_rho_up_to_a_stop_inside_a_block(third, monkeypatch, stop
 
     monkeypatch.setattr(optimizer, "_check_gap", check_gap)
     trace = optimize(dm, OptimizerConfig(iterations=40))
-    assert trace.sigma.shape == trace.rho.shape == (stop + 1,)
+    assert trace.sigma.shape == (stop + 1,) and trace.rho.shape == (1,)
     assert isinstance(trace.diagnostic, DegenerateSingularValueError)
     calls.clear()
     assert trace.rho.tobytes() == serial_descent(dm, OptimizerConfig(iterations=40))[1].tobytes()
 
 
-def test_optimize_holds_at_most_2_15_entries_of_maps():
-    # at n = 256 a block is one map: a longer descent keeps no more maps alive
+@pytest.mark.parametrize("iterations", [1, 100, 1000])
+def test_optimize_takes_rho_from_one_eigvals_call(third, monkeypatch, iterations):
+    # the descent used to take a rho per iteration, 13 maps per call: 8 calls for 100
+    dm, calls, eigvals = third.deleted(1), [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    trace = optimize(dm, OptimizerConfig(iterations=iterations))
+    assert calls == [(50, 50)] and trace.rho.shape == (1,)
+
+
+def test_optimize_holds_one_map_whatever_its_length():
+    # the descent reuses one n x n buffer for I - P L: a longer descent keeps no more maps alive
     n = 256
     dm = DeletedModel(toeplitz=np.eye(n), circulant_inverse=np.diag(np.linspace(0.1, 0.9, n)))
     optimize(dm, OptimizerConfig(iterations=1))  # first-call allocations stay out of the peaks
